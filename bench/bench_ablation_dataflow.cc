@@ -22,7 +22,7 @@ main(int argc, char **argv)
                 options);
 
     const auto &names = modelNames();
-    SweepRunner runner(options.jobs);
+    SweepRunner runner;
     // One context per dataflow; the models fan out over the pool.
     struct Point
     {

@@ -4,67 +4,21 @@
  * context construction, the dual/quad sharing-level sweeps reused by
  * several figures, and table printing.
  *
- * Every bench accepts:
- *   --full     published model sizes + Table 2 cloud NPU (slow!)
- *   --all      no sampling (e.g. all 330 quad mixes)
- *   --sample N sampled mix count when not --all (default varies)
- *   --jobs N   parallel sweep workers (default: MNPU_JOBS or hardware)
- *   --quiet    suppress progress on stderr
- *
- * Failure containment and recovery (see README "Failure handling"):
- *   --keep-going      record a failing mix (status + message) and
- *                     finish the rest instead of aborting the sweep
- *   --job-timeout S   hard per-mix wall-clock budget in seconds
- *   --auto-budget K   adaptive per-mix budget: K x median completed
- *                     wall clock, one escalating retry
- *   --resume FILE     JSONL checkpoint: append each completed mix to
- *                     FILE and, if it already exists, skip mixes it
- *                     already records as ok
- *
- * Fidelity:
- *   --fidelity F      exact (default, golden-ratcheted) or fast (the
- *                     analytic tile model; also MNPU_FIDELITY)
- *
- * Memory backend:
- *   --mem-backend B   hbm2 (default DRAM model), pcm (slow media with
- *                     a DRAM data cache), or tiered (weights on PCM,
- *                     activations on HBM2; also MNPU_MEM_BACKEND)
- *
- * Isolation and scale-out (see DESIGN.md §11):
- *   --isolate M       thread (default) or process: process forks one
- *                     single-job worker per attempt, so a crashing
- *                     mix is quarantined as status "crashed" instead
- *                     of killing the campaign (also MNPU_ISOLATE)
- *   --worker-mem SZ   RLIMIT_AS per worker, e.g. 2G (process mode)
- *   --worker-cpu S    RLIMIT_CPU per worker in seconds (process mode)
- *   --worker-retries N crash retries before quarantine (default 2)
- *   --shard I/N       deterministic 1-of-N partition of the job list
- *                     by sweep key; run one shard per host against a
- *                     private --resume file and union the shards with
- *                     merge_checkpoints for the final --resume
- *
- * Durable in-flight snapshots (DESIGN.md §12):
- *   --snapshot-dir D  write each job's in-flight snapshot to
- *                     D/<key>.snap; a killed/preempted job's retry or
- *                     a later --resume restores from it and continues
- *                     bit-identically instead of restarting at zero
- *   --snapshot-every N[c|s]  cadence: N or Nc = every N simulated
- *                     cycles, Ns = every N wall-clock seconds
+ * Every bench accepts the flags of benchFlags(): scale and sampling
+ * (--full, --all, --sample N, --quiet), failure containment and
+ * recovery (--keep-going, --job-timeout, --auto-budget, --resume; see
+ * README "Failure handling"), isolation and scale-out (--isolate,
+ * --worker-*, --shard; DESIGN.md §11), in-flight snapshots
+ * (--snapshot-dir, --snapshot-every; DESIGN.md §12), the run settings
+ * (--check, --sched, --fidelity, --mem-backend, --jobs; README
+ * "Settings") and observability (--trace-out, --metrics-out,
+ * --obs-level; DESIGN.md §9). --inject and the observability outputs
+ * attach to the first job only; a multi-job sweep warns and names the
+ * jobs whose exports are dropped.
  *
  * Signals: the first SIGINT/SIGTERM cancels the sweep cooperatively
  * (in-flight mixes stop at their next watchdog check, the checkpoint
  * stays resumable, the bench exits 130); a second force-exits.
- *
- * Observability (see DESIGN.md §9; passive, bit-identical on vs off):
- *   --trace-out FILE  Chrome trace_event JSON for the first job only —
- *                     a multi-job sweep warns and names the jobs whose
- *                     exports are dropped
- *                     (load in Perfetto / chrome://tracing)
- *   --obs-level L     off|layers|tiles|requests span detail (default
- *                     tiles); also MNPU_OBS_LEVEL
- *   --metrics-out F   windowed metrics snapshot, .csv or .jsonl
- * Env fallbacks MNPU_TRACE / MNPU_METRICS fill the paths when the
- * flags are absent.
  */
 
 #ifndef MNPU_BENCH_BENCH_COMMON_HH
@@ -85,33 +39,29 @@
 #include "common/logging.hh"
 #include "common/stop_signal.hh"
 #include "common/thread_pool.hh"
+#include "sim/cli.hh"
 #include "sim/multi_core_system.hh"
 #include "workloads/models.hh"
 
 namespace mnpu::bench
 {
 
-struct BenchOptions
+/** Bench flags: the shared run flags (RunFlags) plus the sweep ones. */
+struct BenchOptions : RunFlags
 {
     bool full = false;
     bool all = false;
     std::uint32_t sample = 48;
-    std::uint32_t jobs = 0; //!< sweep workers; 0 = defaultJobCount()
     bool quiet = false;
     bool keepGoing = false;     //!< contain per-mix failures
-    double jobTimeout = 0;      //!< hard per-mix wall budget, seconds
     double autoBudget = 0;      //!< adaptive budget multiplier (0=off)
     std::string resumePath;     //!< JSONL checkpoint to append/resume
-    FaultPlan injectPlan;       //!< --inject: fault for the first job
-    ObservabilityConfig obs;    //!< --trace-out/--metrics-out/--obs-level
     std::uint64_t workerMemoryBytes = 0; //!< --worker-mem (process mode)
     std::uint32_t workerCpuSeconds = 0;  //!< --worker-cpu (process mode)
     std::uint32_t workerRetries = 2;     //!< --worker-retries
     std::uint32_t shardIndex = 0;        //!< --shard I/N
     std::uint32_t shardCount = 0;        //!< 0 = not sharded
     std::string snapshotDir;             //!< --snapshot-dir
-    Cycle snapshotEveryCycles = 0;       //!< --snapshot-every Nc
-    double snapshotEverySeconds = 0;     //!< --snapshot-every Ns
 
     /** The sweep-level containment options these flags map to. */
     SweepOptions sweepOptions() const
@@ -123,16 +73,16 @@ struct BenchOptions
         options.checkpointPath = resumePath;
         options.resume = !resumePath.empty();
         // Isolation stays unset here: --isolate lands in the process
-        // default (setIsolationDefault), so MNPU_ISOLATE and the
-        // built-in thread fallback resolve inside the runner.
+        // default, so MNPU_ISOLATE and the built-in thread fallback
+        // resolve inside the runner.
         options.workerMemoryBytes = workerMemoryBytes;
         options.workerCpuSeconds = workerCpuSeconds;
         options.workerRetries = workerRetries;
         options.shardIndex = shardIndex;
         options.shardCount = shardCount;
         options.snapshotDir = snapshotDir;
-        options.snapshotEveryCycles = snapshotEveryCycles;
-        options.snapshotEverySeconds = snapshotEverySeconds;
+        options.snapshotEveryCycles = snapshot.everyCycles;
+        options.snapshotEverySeconds = snapshot.everySeconds;
         options.stopToken = stopSignalToken();
         return options;
     }
@@ -147,6 +97,71 @@ struct BenchOptions
     }
 };
 
+/** Every bench's flag table, writing into @p options. */
+inline std::vector<Flag>
+benchFlags(BenchOptions &options)
+{
+    std::vector<Flag> flags = {
+        Flag{"--full", "", "published model sizes + Table 2 cloud NPU",
+             [&options](const std::string &) { options.full = true; }},
+        Flag{"--all", "", "no mix sampling",
+             [&options](const std::string &) { options.all = true; }},
+        Flag{"--sample", "N", "sampled mix count (0 = all)",
+             [&options](const std::string &value) {
+                 options.sample = parseCount(value, /*allow_zero=*/true);
+             }},
+        Flag{"--quiet", "", "no progress on stderr",
+             [&options](const std::string &) {
+                 options.quiet = true;
+                 setQuiet(true);
+             }},
+        Flag{"--keep-going", "", "record a failing mix and go on",
+             [&options](const std::string &) { options.keepGoing = true; }},
+        Flag{"--auto-budget", "K", "per-mix budget: K x median wall clock",
+             [&options](const std::string &value) {
+                 options.autoBudget = parsePositiveReal(value);
+             }},
+        Flag{"--resume", "FILE", "JSONL checkpoint to append and resume",
+             [&options](const std::string &value) {
+                 options.resumePath = value;
+             }},
+        settingFlag("--isolate", isolationSetting(),
+                    "process = crash-proof forked workers"),
+        Flag{"--worker-mem", "SZ", "RLIMIT_AS per worker, e.g. 2G",
+             [&options](const std::string &value) {
+                 options.workerMemoryBytes = ConfigFile::parseSize(value);
+             }},
+        Flag{"--worker-cpu", "S", "RLIMIT_CPU per worker (0 = none)",
+             [&options](const std::string &value) {
+                 options.workerCpuSeconds = parseCount(value, true);
+             }},
+        Flag{"--worker-retries", "N", "crash retries before quarantine",
+             [&options](const std::string &value) {
+                 options.workerRetries = parseCount(value, true);
+             }},
+        Flag{"--shard", "I/N", "run shard I of N (0 <= I < N, N >= 2)",
+             [&options](const std::string &value) {
+                 const auto slash = value.find('/');
+                 if (slash == std::string::npos)
+                     fatal("malformed shard '", value, "' (expected I/N)");
+                 options.shardIndex =
+                     parseCount(value.substr(0, slash), true);
+                 options.shardCount = parseCount(value.substr(slash + 1));
+                 if (options.shardCount < 2 ||
+                     options.shardIndex >= options.shardCount)
+                     fatal("shard '", value,
+                           "' needs 0 <= I < N and N >= 2");
+             }},
+        Flag{"--snapshot-dir", "DIR", "in-flight snapshots as DIR/<key>.snap",
+             [&options](const std::string &value) {
+                 options.snapshotDir = value;
+             }},
+    };
+    for (Flag &flag : runFlags(options))
+        flags.push_back(std::move(flag));
+    return flags;
+}
+
 inline BenchOptions
 parseOptions(int argc, char **argv)
 {
@@ -155,163 +170,20 @@ parseOptions(int argc, char **argv)
     // mid-record.
     installStopSignalHandlers();
     BenchOptions options;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--full") {
-            options.full = true;
-        } else if (arg == "--all") {
-            options.all = true;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-            setQuiet(true);
-        } else if (arg == "--sample" && i + 1 < argc) {
-            options.sample =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            options.jobs =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg == "--keep-going") {
-            options.keepGoing = true;
-        } else if (arg == "--job-timeout" && i + 1 < argc) {
-            options.jobTimeout = std::atof(argv[++i]);
-        } else if (arg == "--auto-budget" && i + 1 < argc) {
-            options.autoBudget = std::atof(argv[++i]);
-        } else if (arg == "--resume" && i + 1 < argc) {
-            options.resumePath = argv[++i];
-        } else if (arg == "--check" && i + 1 < argc) {
-            try {
-                setCheckLevelDefault(parseCheckLevel(argv[++i]));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--sched" && i + 1 < argc) {
-            try {
-                setSchedulerDefault(parseSchedulerKind(argv[++i]));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--fidelity" && i + 1 < argc) {
-            try {
-                setFidelityDefault(parseFidelityKind(argv[++i]));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--mem-backend" && i + 1 < argc) {
-            try {
-                setMemBackendDefault(parseMemBackendKind(argv[++i]));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--inject" && i + 1 < argc) {
-            try {
-                options.injectPlan = parseFaultPlan(argv[++i]);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--isolate" && i + 1 < argc) {
-            try {
-                setIsolationDefault(parseIsolationMode(argv[++i]));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--worker-mem" && i + 1 < argc) {
-            try {
-                options.workerMemoryBytes =
-                    ConfigFile::parseSize(argv[++i]);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else if (arg == "--worker-cpu" && i + 1 < argc) {
-            options.workerCpuSeconds =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg == "--worker-retries" && i + 1 < argc) {
-            options.workerRetries =
-                static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg == "--shard" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            const auto slash = spec.find('/');
-            char *end = nullptr;
-            unsigned long index =
-                std::strtoul(spec.c_str(), &end, 10);
-            unsigned long count =
-                slash == std::string::npos
-                    ? 0
-                    : std::strtoul(spec.c_str() + slash + 1, nullptr,
-                                   10);
-            if (slash == std::string::npos || count < 2 ||
-                index >= count ||
-                end != spec.c_str() + slash) {
-                std::fprintf(stderr,
-                             "malformed --shard '%s'; expected I/N "
-                             "with 0 <= I < N and N >= 2\n",
-                             spec.c_str());
-                std::exit(2);
-            }
-            options.shardIndex = static_cast<std::uint32_t>(index);
-            options.shardCount = static_cast<std::uint32_t>(count);
-        } else if (arg == "--snapshot-dir" && i + 1 < argc) {
-            options.snapshotDir = argv[++i];
-        } else if (arg == "--snapshot-every" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            char *end = nullptr;
-            const double amount = std::strtod(spec.c_str(), &end);
-            bool ok = end != spec.c_str() && amount > 0;
-            if (ok && *end == 's' && end[1] == '\0') {
-                options.snapshotEverySeconds = amount;
-            } else if (ok && (*end == '\0' ||
-                              (*end == 'c' && end[1] == '\0'))) {
-                options.snapshotEveryCycles = static_cast<Cycle>(amount);
-                ok = options.snapshotEveryCycles > 0;
-            } else {
-                ok = false;
-            }
-            if (!ok) {
-                std::fprintf(stderr,
-                             "malformed --snapshot-every '%s'; "
-                             "expected N, Nc, or Ns\n",
-                             spec.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            options.obs.traceOutPath = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            options.obs.metricsOutPath = argv[++i];
-        } else if (arg == "--obs-level" && i + 1 < argc) {
-            try {
-                options.obs.traceLevel = parseTraceLevel(argv[++i]);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                std::exit(2);
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--full] [--all] [--sample N] "
-                         "[--jobs N] [--quiet] [--keep-going] "
-                         "[--job-timeout S] [--auto-budget K] "
-                         "[--resume FILE] [--check off|cheap|full] "
-                         "[--sched cycle|event] [--fidelity exact|fast] "
-                         "[--mem-backend hbm2|pcm|tiered] "
-                         "[--inject SITE[:N[:DELAY]]] "
-                         "[--isolate thread|process] [--worker-mem SZ] "
-                         "[--worker-cpu S] [--worker-retries N] "
-                         "[--shard I/N] [--snapshot-dir DIR] "
-                         "[--snapshot-every N[c|s]] "
-                         "[--trace-out FILE] [--metrics-out FILE] "
-                         "[--obs-level off|layers|tiles|requests]\n",
-                         argv[0]);
+    const std::vector<Flag> flags = benchFlags(options);
+    try {
+        if (parseFlags(argc, argv, 1, flags) != argc) {
+            std::fprintf(stderr, "usage: %s [flags]\n%s", argv[0],
+                         flagUsage("flags:", flags).c_str());
             std::exit(2);
         }
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        std::exit(2);
     }
-    // MNPU_TRACE / MNPU_METRICS / MNPU_OBS_LEVEL fill anything the
-    // flags left unset; resolved here (process entry), never inside
-    // the sweep, so parallel jobs can't race on one output file.
+    // MNPU_TRACE / MNPU_METRICS fill the paths the flags left unset;
+    // resolved here (process entry), never inside the sweep, so
+    // parallel jobs can't race on one output file.
     options.obs = observabilityFromEnv(options.obs);
     return options;
 }
@@ -384,7 +256,7 @@ reportSweepStats(const BenchOptions &options, const SweepRunner &runner)
 }
 
 /**
- * Run @p sweep_jobs through a SweepRunner sized by options.jobs, with
+ * Run @p sweep_jobs through a SweepRunner sized by --jobs, with
  * progress and a timing summary, returning outcomes in input order.
  * With --keep-going a failed mix is reported on stderr and its
  * outcome's metrics are NaN, so aggregates over it read NaN instead
@@ -440,7 +312,7 @@ runJobs(ExperimentContext &context, std::vector<SweepJob> sweep_jobs,
                  ") attached to job 0 only; no exports for ", dropped);
         }
     }
-    SweepRunner runner(options.jobs);
+    SweepRunner runner;
     auto records = runner.run(context, sweep_jobs,
                               options.sweepOptions(),
                               progressEvery16(options));
@@ -483,7 +355,7 @@ struct SweepResult
 
 /**
  * Run every (sampled) size-@p k mix of the 8 models at each sharing
- * level, fanned out over options.jobs workers (page size overrides
+ * level, fanned out over --jobs workers (page size overrides
  * etc. go through the context's mem instead).
  */
 inline SweepResult

@@ -24,7 +24,7 @@ main(int argc, char **argv)
                 "128GB/s", "256GB/s");
 
     // One context per bandwidth point; the models fan out over the pool.
-    SweepRunner runner(options.jobs);
+    SweepRunner runner;
     std::vector<std::vector<double>> cycles_by_point;
     for (std::uint32_t channels : channel_counts) {
         NpuMemConfig mem = NpuMemConfig::cloudNpu();

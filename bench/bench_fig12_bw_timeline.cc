@@ -71,7 +71,7 @@ main(int argc, char **argv)
     const Cycle window = 1000;
     // The two solo timelines are independent runs; fan them out.
     const std::vector<std::string> solo_models = {"ds2", "gpt2"};
-    SweepRunner runner(options.jobs);
+    SweepRunner runner;
     auto series = runner.map<std::vector<double>>(
         solo_models.size(), [&](std::size_t index) {
             return soloUtilization(options, solo_models[index], window);

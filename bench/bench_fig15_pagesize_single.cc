@@ -22,7 +22,7 @@ main(int argc, char **argv)
 
     std::printf("\n%-8s%10s%10s%10s\n", "model", "4KB", "64KB", "1MB");
     // One context per page size; the models fan out over the pool.
-    SweepRunner runner(options.jobs);
+    SweepRunner runner;
     std::vector<std::vector<double>> cycles_by_page;
     for (std::uint64_t page : page_sizes) {
         NpuMemConfig mem = NpuMemConfig::cloudNpu();

@@ -37,7 +37,7 @@ main(int argc, char **argv)
 
     // --- (1) measured pair table + solo profiles of the 8 models ---
     progress(options, "measuring the 36 model pairs (+DWT) ...");
-    SweepRunner runner(options.jobs);
+    SweepRunner runner;
     MappingEvaluator evaluator;
     auto solo_profile = [&context](const std::string &model) {
         const CoreResult &ideal = context.idealResult(model, 2);

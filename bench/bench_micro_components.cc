@@ -251,7 +251,7 @@ parseBaselineLine(const std::string &line, BaselineRow &out)
         !findNumber("global_cycles", cycles)) {
         return false;
     }
-    out.fidelity = parseFidelityKind(fidelity);
+    out.fidelity = fidelitySetting().parse(fidelity);
     out.loopIterations = static_cast<std::uint64_t>(loops);
     out.globalCycles = static_cast<std::uint64_t>(cycles);
     return true;

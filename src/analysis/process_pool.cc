@@ -32,8 +32,6 @@ secondsSince(SteadyClock::time_point start)
         .count();
 }
 
-std::atomic<int> g_isolation_default{-1};
-
 /** This worker child's scratch fd; -1 outside a worker. */
 std::atomic<int> g_worker_heartbeat_fd{-1};
 
@@ -52,55 +50,20 @@ processPoolHeartbeat()
     [[maybe_unused]] ssize_t wrote = ::write(fd, line, sizeof(line) - 1);
 }
 
+Setting<IsolationMode> &
+isolationSetting()
+{
+    static Setting<IsolationMode> setting(
+        "isolation mode", "MNPU_ISOLATE", IsolationMode::Thread,
+        {{"thread", IsolationMode::Thread},
+         {"process", IsolationMode::Process}});
+    return setting;
+}
+
 const char *
 toString(IsolationMode mode)
 {
-    switch (mode) {
-      case IsolationMode::Thread:
-        return "thread";
-      case IsolationMode::Process:
-        return "process";
-    }
-    return "?";
-}
-
-IsolationMode
-parseIsolationMode(const std::string &text)
-{
-    for (IsolationMode mode :
-         {IsolationMode::Thread, IsolationMode::Process}) {
-        if (text == toString(mode))
-            return mode;
-    }
-    fatal("unknown isolation mode '", text,
-          "'; expected thread or process");
-}
-
-void
-setIsolationDefault(IsolationMode mode)
-{
-    g_isolation_default.store(static_cast<int>(mode),
-                              std::memory_order_relaxed);
-}
-
-void
-clearIsolationDefault()
-{
-    g_isolation_default.store(-1, std::memory_order_relaxed);
-}
-
-IsolationMode
-effectiveIsolationMode(const std::optional<IsolationMode> &configured)
-{
-    if (configured)
-        return *configured;
-    const int fallback =
-        g_isolation_default.load(std::memory_order_relaxed);
-    if (fallback >= 0)
-        return static_cast<IsolationMode>(fallback);
-    if (const char *env = std::getenv("MNPU_ISOLATE"))
-        return parseIsolationMode(env);
-    return IsolationMode::Thread;
+    return isolationSetting().toString(mode);
 }
 
 bool

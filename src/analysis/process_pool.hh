@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "analysis/sweep_checkpoint.hh"
+#include "common/settings.hh"
 
 namespace mnpu
 {
@@ -57,27 +58,10 @@ enum class IsolationMode
     Process, //!< forked worker processes (crash = job quarantined)
 };
 
+/** --isolate / MNPU_ISOLATE; built-in Thread (common/settings.hh). */
+Setting<IsolationMode> &isolationSetting();
+
 const char *toString(IsolationMode mode);
-
-/** Parse "thread" | "process"; throws FatalError otherwise. */
-IsolationMode parseIsolationMode(const std::string &text);
-
-/**
- * Process-wide default used when SweepOptions does not pin a mode
- * (set from --isolate on the CLI/bench command line).
- */
-void setIsolationDefault(IsolationMode mode);
-
-/** Undo setIsolationDefault (test hygiene). */
-void clearIsolationDefault();
-
-/**
- * Resolve the isolation mode a sweep runs under: an explicitly
- * configured mode wins, then the process default (--isolate), then
- * the MNPU_ISOLATE environment variable, then Thread.
- */
-IsolationMode
-effectiveIsolationMode(const std::optional<IsolationMode> &configured);
 
 /**
  * True when this binary is built under ASan/TSan. Sanitizers reserve

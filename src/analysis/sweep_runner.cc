@@ -264,10 +264,12 @@ sweepJobKey(const SweepJob &job, const ArchConfig &arch,
     // or any check level forces exact) rather than the requested one
     // keeps a fast-keyed record from ever holding exact-fallback
     // results; exact runs keep their historical keys.
-    const MemBackendKind backend = effectiveMemBackendKind(mem.backend);
+    const MemBackendKind backend =
+        memBackendSetting().effective(mem.backend);
     if (resolvedFidelityKind(config.fidelity,
                              perturbsSimulation(config.faultPlan.site),
-                             effectiveCheckLevel(config.checkLevel)) ==
+                             checkLevelSetting().effective(
+                                 config.checkLevel)) ==
             FidelityKind::Fast &&
         backend != MemBackendKind::Tiered) {
         // Tiered backends force exact (mirrors MultiCoreSystem), so a
@@ -439,7 +441,7 @@ SweepRunner::run(
         fatal("sweep shard index ", options.shardIndex,
               " out of range for ", options.shardCount, " shards");
     const IsolationMode isolation =
-        effectiveIsolationMode(options.isolation);
+        isolationSetting().effective(options.isolation);
 
     // --- Resume: restore jobs already checkpointed ok. ---
     // Keys feed checkpointing, resume, sharding, and the process-mode

@@ -162,7 +162,7 @@ struct SweepOptions
      * threads; Process forks one single-job worker per attempt so a
      * crash (SIGSEGV, abort, rlimit kill, hard livelock) quarantines
      * that job as SweepStatus::Crashed instead of killing the
-     * campaign. Unset resolves via effectiveIsolationMode() (--isolate
+     * campaign. Unset resolves via isolationSetting() (--isolate
      * / MNPU_ISOLATE / Thread). Thread- and process-mode runs of a
      * healthy sweep are bit-identical.
      */
@@ -253,7 +253,7 @@ struct SweepStats
 class SweepRunner
 {
   public:
-    /** @param jobs worker count; 0 means defaultJobCount(). */
+    /** @param jobs worker count; 0 means jobsSetting(). */
     explicit SweepRunner(std::size_t jobs = 0);
 
     std::size_t workers() const { return pool_.jobs(); }

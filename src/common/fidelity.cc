@@ -1,74 +1,28 @@
 #include "common/fidelity.hh"
 
-#include <atomic>
-#include <cstdlib>
-
-#include "common/logging.hh"
-
 namespace mnpu
 {
+
+Setting<FidelityKind> &
+fidelitySetting()
+{
+    static Setting<FidelityKind> setting(
+        "fidelity", "MNPU_FIDELITY", FidelityKind::Exact,
+        {{"exact", FidelityKind::Exact}, {"fast", FidelityKind::Fast}});
+    return setting;
+}
 
 const char *
 toString(FidelityKind kind)
 {
-    switch (kind) {
-      case FidelityKind::Exact:
-        return "exact";
-      case FidelityKind::Fast:
-        return "fast";
-    }
-    return "?";
-}
-
-FidelityKind
-parseFidelityKind(const std::string &text)
-{
-    if (text == "exact")
-        return FidelityKind::Exact;
-    if (text == "fast")
-        return FidelityKind::Fast;
-    fatal("unknown fidelity '", text, "'; expected exact or fast");
-}
-
-namespace
-{
-
-/** Process default from --fidelity; -1 = unset. */
-std::atomic<int> g_fidelity_default{-1};
-
-} // namespace
-
-void
-setFidelityDefault(FidelityKind kind)
-{
-    g_fidelity_default.store(static_cast<int>(kind));
-}
-
-void
-clearFidelityDefault()
-{
-    g_fidelity_default.store(-1);
-}
-
-FidelityKind
-effectiveFidelityKind(const std::optional<FidelityKind> &configured)
-{
-    if (configured)
-        return *configured;
-    const int fallback = g_fidelity_default.load();
-    if (fallback >= 0)
-        return static_cast<FidelityKind>(fallback);
-    const char *env = std::getenv("MNPU_FIDELITY");
-    if (env != nullptr && *env != '\0')
-        return parseFidelityKind(env);
-    return FidelityKind::Exact;
+    return fidelitySetting().toString(kind);
 }
 
 FidelityKind
 resolvedFidelityKind(const std::optional<FidelityKind> &configured,
                      bool fault_armed, CheckLevel check_level)
 {
-    FidelityKind requested = effectiveFidelityKind(configured);
+    FidelityKind requested = fidelitySetting().effective(configured);
     if (requested == FidelityKind::Fast &&
         (fault_armed || check_level != CheckLevel::Off))
         return FidelityKind::Exact;

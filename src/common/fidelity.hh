@@ -17,10 +17,8 @@
 #ifndef MNPU_COMMON_FIDELITY_HH
 #define MNPU_COMMON_FIDELITY_HH
 
-#include <optional>
-#include <string>
-
 #include "common/integrity.hh"
+#include "common/settings.hh"
 
 namespace mnpu
 {
@@ -32,27 +30,17 @@ enum class FidelityKind
     Fast,  //!< analytic tile latency + batched DRAM transfers
 };
 
+/** --fidelity / MNPU_FIDELITY; built-in Exact (common/settings.hh). */
+Setting<FidelityKind> &fidelitySetting();
+
 const char *toString(FidelityKind kind);
 
-/** Parse "exact" | "fast"; throws FatalError otherwise. */
-FidelityKind parseFidelityKind(const std::string &text);
-
-/**
- * Process-wide default used when a SystemConfig does not pin a
- * fidelity (set from --fidelity on the CLI/bench command line).
- */
-void setFidelityDefault(FidelityKind kind);
-
-/** Undo setFidelityDefault (test hygiene). */
-void clearFidelityDefault();
-
-/**
- * Resolve the fidelity a system *requests*: an explicitly configured
- * kind wins, then the process default (--fidelity), then the
- * MNPU_FIDELITY environment variable, then Exact.
- */
-FidelityKind
-effectiveFidelityKind(const std::optional<FidelityKind> &configured);
+/** Set the --fidelity process default (the npubench harness uses it). */
+inline void
+setFidelityDefault(FidelityKind kind)
+{
+    fidelitySetting().setDefault(kind);
+}
 
 /**
  * Resolve the fidelity a system actually *runs* at. Fast silently

@@ -1,8 +1,6 @@
 #include "common/integrity.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.hh"
@@ -10,64 +8,21 @@
 namespace mnpu
 {
 
+Setting<CheckLevel> &
+checkLevelSetting()
+{
+    static Setting<CheckLevel> setting("check level", "MNPU_CHECK",
+                                       CheckLevel::Off,
+                                       {{"off", CheckLevel::Off},
+                                        {"cheap", CheckLevel::Cheap},
+                                        {"full", CheckLevel::Full}});
+    return setting;
+}
+
 const char *
 toString(CheckLevel level)
 {
-    switch (level) {
-      case CheckLevel::Off:
-        return "off";
-      case CheckLevel::Cheap:
-        return "cheap";
-      case CheckLevel::Full:
-        return "full";
-    }
-    return "?";
-}
-
-CheckLevel
-parseCheckLevel(const std::string &text)
-{
-    if (text == "off")
-        return CheckLevel::Off;
-    if (text == "cheap")
-        return CheckLevel::Cheap;
-    if (text == "full")
-        return CheckLevel::Full;
-    fatal("unknown check level '", text, "'; expected off, cheap or full");
-}
-
-namespace
-{
-
-/** Process default from --check; -1 = unset. */
-std::atomic<int> g_check_default{-1};
-
-} // namespace
-
-void
-setCheckLevelDefault(CheckLevel level)
-{
-    g_check_default.store(static_cast<int>(level));
-}
-
-void
-clearCheckLevelDefault()
-{
-    g_check_default.store(-1);
-}
-
-CheckLevel
-effectiveCheckLevel(const std::optional<CheckLevel> &configured)
-{
-    if (configured)
-        return *configured;
-    const int fallback = g_check_default.load();
-    if (fallback >= 0)
-        return static_cast<CheckLevel>(fallback);
-    const char *env = std::getenv("MNPU_CHECK");
-    if (env != nullptr && *env != '\0')
-        return parseCheckLevel(env);
-    return CheckLevel::Off;
+    return checkLevelSetting().toString(level);
 }
 
 // --- DramProtocolChecker ---

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "common/errors.hh"
+#include "common/settings.hh"
 #include "common/snapshot.hh"
 #include "common/types.hh"
 #include "dram/dram_timing.hh"
@@ -68,26 +69,10 @@ enum class CheckLevel
     Full,  //!< + DRAM protocol checker + MMU translation re-check
 };
 
+/** --check / MNPU_CHECK; built-in Off (see common/settings.hh). */
+Setting<CheckLevel> &checkLevelSetting();
+
 const char *toString(CheckLevel level);
-
-/** Parse "off" | "cheap" | "full"; throws FatalError otherwise. */
-CheckLevel parseCheckLevel(const std::string &text);
-
-/**
- * Process-wide default used when a SystemConfig does not pin a level
- * (set from --check on the CLI/bench command line).
- */
-void setCheckLevelDefault(CheckLevel level);
-
-/** Undo setCheckLevelDefault (test hygiene). */
-void clearCheckLevelDefault();
-
-/**
- * Resolve the level a system should run at: an explicitly configured
- * level wins, then the process default (--check), then the MNPU_CHECK
- * environment variable, then Off.
- */
-CheckLevel effectiveCheckLevel(const std::optional<CheckLevel> &configured);
 
 /**
  * Shadow re-derivation of one channel's DRAM timing constraints from

@@ -1,67 +1,21 @@
 #include "common/scheduler.hh"
 
-#include <atomic>
-#include <cstdlib>
-
-#include "common/logging.hh"
-
 namespace mnpu
 {
+
+Setting<SchedulerKind> &
+schedulerSetting()
+{
+    static Setting<SchedulerKind> setting(
+        "scheduler", "MNPU_SCHED", SchedulerKind::Event,
+        {{"cycle", SchedulerKind::Cycle}, {"event", SchedulerKind::Event}});
+    return setting;
+}
 
 const char *
 toString(SchedulerKind kind)
 {
-    switch (kind) {
-      case SchedulerKind::Cycle:
-        return "cycle";
-      case SchedulerKind::Event:
-        return "event";
-    }
-    return "?";
-}
-
-SchedulerKind
-parseSchedulerKind(const std::string &text)
-{
-    if (text == "cycle")
-        return SchedulerKind::Cycle;
-    if (text == "event")
-        return SchedulerKind::Event;
-    fatal("unknown scheduler '", text, "'; expected cycle or event");
-}
-
-namespace
-{
-
-/** Process default from --sched; -1 = unset. */
-std::atomic<int> g_sched_default{-1};
-
-} // namespace
-
-void
-setSchedulerDefault(SchedulerKind kind)
-{
-    g_sched_default.store(static_cast<int>(kind));
-}
-
-void
-clearSchedulerDefault()
-{
-    g_sched_default.store(-1);
-}
-
-SchedulerKind
-effectiveSchedulerKind(const std::optional<SchedulerKind> &configured)
-{
-    if (configured)
-        return *configured;
-    const int fallback = g_sched_default.load();
-    if (fallback >= 0)
-        return static_cast<SchedulerKind>(fallback);
-    const char *env = std::getenv("MNPU_SCHED");
-    if (env != nullptr && *env != '\0')
-        return parseSchedulerKind(env);
-    return SchedulerKind::Event;
+    return schedulerSetting().toString(kind);
 }
 
 } // namespace mnpu

@@ -19,8 +19,7 @@
 #ifndef MNPU_COMMON_SCHEDULER_HH
 #define MNPU_COMMON_SCHEDULER_HH
 
-#include <optional>
-#include <string>
+#include "common/settings.hh"
 
 namespace mnpu
 {
@@ -32,27 +31,10 @@ enum class SchedulerKind
     Event, //!< skip to the minimum component event bound (default)
 };
 
+/** --sched / MNPU_SCHED; built-in Event (see common/settings.hh). */
+Setting<SchedulerKind> &schedulerSetting();
+
 const char *toString(SchedulerKind kind);
-
-/** Parse "cycle" | "event"; throws FatalError otherwise. */
-SchedulerKind parseSchedulerKind(const std::string &text);
-
-/**
- * Process-wide default used when a SystemConfig does not pin a
- * scheduler (set from --sched on the CLI/bench command line).
- */
-void setSchedulerDefault(SchedulerKind kind);
-
-/** Undo setSchedulerDefault (test hygiene). */
-void clearSchedulerDefault();
-
-/**
- * Resolve the scheduler a system should run with: an explicitly
- * configured kind wins, then the process default (--sched), then the
- * MNPU_SCHED environment variable, then Event.
- */
-SchedulerKind
-effectiveSchedulerKind(const std::optional<SchedulerKind> &configured);
 
 } // namespace mnpu
 

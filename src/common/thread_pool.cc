@@ -1,41 +1,17 @@
 #include "common/thread_pool.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <string>
-
-#include "common/logging.hh"
+#include <algorithm>
 
 namespace mnpu
 {
 
-namespace
+Setting<std::size_t> &
+jobsSetting()
 {
-
-std::atomic<std::size_t> jobOverride{0};
-
-} // namespace
-
-void
-setDefaultJobCount(std::size_t jobs)
-{
-    jobOverride.store(jobs, std::memory_order_relaxed);
-}
-
-std::size_t
-defaultJobCount()
-{
-    if (std::size_t jobs = jobOverride.load(std::memory_order_relaxed))
-        return jobs;
-    if (const char *env = std::getenv("MNPU_JOBS")) {
-        char *end = nullptr;
-        unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && parsed > 0)
-            return static_cast<std::size_t>(parsed);
-        warn("ignoring malformed MNPU_JOBS='", env, "'");
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
+    static Setting<std::size_t> setting(
+        "worker count", "MNPU_JOBS",
+        std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+    return setting;
 }
 
 /** One parallelFor() invocation, owned by the calling frame. */
@@ -52,7 +28,7 @@ struct ThreadPool::Batch
 };
 
 ThreadPool::ThreadPool(std::size_t jobs)
-    : jobs_(jobs != 0 ? jobs : defaultJobCount())
+    : jobs_(jobs != 0 ? jobs : jobsSetting().effective(std::nullopt))
 {
     if (jobs_ < 2)
         return; // inline mode: parallelFor runs on the caller

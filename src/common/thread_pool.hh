@@ -6,10 +6,9 @@
  * first task exception (FatalError from fatal() included) on the
  * calling thread.
  *
- * Worker-count resolution (defaultJobCount()):
- *   1. an explicit setDefaultJobCount() (e.g. a --jobs CLI flag), else
- *   2. the MNPU_JOBS environment variable, else
- *   3. std::thread::hardware_concurrency().
+ * A pool constructed with jobs == 0 takes its worker count from
+ * jobsSetting(): --jobs, else MNPU_JOBS, else the hardware thread
+ * count (common/settings.hh).
  *
  * A pool constructed with jobs == 1 runs everything inline on the
  * calling thread (no workers are spawned), which keeps the serial
@@ -28,22 +27,18 @@
 #include <thread>
 #include <vector>
 
+#include "common/settings.hh"
+
 namespace mnpu
 {
 
-/** Resolved worker count: override, then MNPU_JOBS, then hardware. */
-std::size_t defaultJobCount();
-
-/**
- * Process-wide override for defaultJobCount(); 0 clears the override.
- * Set from --jobs style CLI flags before any pool is constructed.
- */
-void setDefaultJobCount(std::size_t jobs);
+/** --jobs / MNPU_JOBS worker count; built-in: hardware threads. */
+Setting<std::size_t> &jobsSetting();
 
 class ThreadPool
 {
   public:
-    /** @param jobs worker count; 0 means defaultJobCount(). */
+    /** @param jobs worker count; 0 means jobsSetting(). */
     explicit ThreadPool(std::size_t jobs = 0);
     ~ThreadPool();
 

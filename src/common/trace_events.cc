@@ -1,7 +1,6 @@
 #include "common/trace_events.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -11,52 +10,31 @@
 namespace mnpu
 {
 
+Setting<TraceLevel> &
+traceLevelSetting()
+{
+    static Setting<TraceLevel> setting("trace level", "MNPU_OBS_LEVEL",
+                                       TraceLevel::Tiles,
+                                       {{"off", TraceLevel::Off},
+                                        {"layers", TraceLevel::Layers},
+                                        {"tiles", TraceLevel::Tiles},
+                                        {"requests", TraceLevel::Requests}});
+    return setting;
+}
+
 const char *
 toString(TraceLevel level)
 {
-    switch (level) {
-      case TraceLevel::Off:
-        return "off";
-      case TraceLevel::Layers:
-        return "layers";
-      case TraceLevel::Tiles:
-        return "tiles";
-      case TraceLevel::Requests:
-        return "requests";
-    }
-    return "off";
-}
-
-TraceLevel
-parseTraceLevel(const std::string &text)
-{
-    if (text == "off")
-        return TraceLevel::Off;
-    if (text == "layers")
-        return TraceLevel::Layers;
-    if (text == "tiles")
-        return TraceLevel::Tiles;
-    if (text == "requests")
-        return TraceLevel::Requests;
-    fatal("unknown trace level '", text,
-          "' (expected off, layers, tiles, or requests)");
+    return traceLevelSetting().toString(level);
 }
 
 ObservabilityConfig
 observabilityFromEnv(ObservabilityConfig base)
 {
-    if (base.traceOutPath.empty()) {
-        if (const char *env = std::getenv("MNPU_TRACE"); env && *env)
-            base.traceOutPath = env;
-    }
-    if (base.metricsOutPath.empty()) {
-        if (const char *env = std::getenv("MNPU_METRICS"); env && *env)
-            base.metricsOutPath = env;
-    }
-    if (base.traceLevel == TraceLevel::Tiles) {
-        if (const char *env = std::getenv("MNPU_OBS_LEVEL"); env && *env)
-            base.traceLevel = parseTraceLevel(env);
-    }
+    if (base.traceOutPath.empty())
+        base.traceOutPath = envValue("MNPU_TRACE").value_or("");
+    if (base.metricsOutPath.empty())
+        base.metricsOutPath = envValue("MNPU_METRICS").value_or("");
     return base;
 }
 

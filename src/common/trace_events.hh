@@ -28,10 +28,12 @@
 #define MNPU_COMMON_TRACE_EVENTS_HH
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/settings.hh"
 #include "common/types.hh"
 
 namespace mnpu
@@ -51,10 +53,10 @@ enum class TraceLevel
     Requests = 3,
 };
 
-const char *toString(TraceLevel level);
+/** --obs-level / MNPU_OBS_LEVEL; built-in Tiles (common/settings.hh). */
+Setting<TraceLevel> &traceLevelSetting();
 
-/** Parse "off|layers|tiles|requests"; fatal() on anything else. */
-TraceLevel parseTraceLevel(const std::string &text);
+const char *toString(TraceLevel level);
 
 /**
  * Per-run observability settings, carried in SystemConfig. All fields
@@ -67,9 +69,10 @@ struct ObservabilityConfig
     /** Chrome trace_event JSON output path; empty disables tracing. */
     std::string traceOutPath;
 
-    /** Span detail for traceOutPath (--obs-level). Off disables tracing
-     *  even when a path is set. */
-    TraceLevel traceLevel = TraceLevel::Tiles;
+    /** Span detail for traceOutPath; unset resolves through
+     *  traceLevelSetting(). Off disables tracing even when a path is
+     *  set. */
+    std::optional<TraceLevel> traceLevel;
 
     /** Windowed metrics + final snapshot output; ".csv" selects CSV,
      *  anything else JSONL. Empty disables the export. */
@@ -81,7 +84,8 @@ struct ObservabilityConfig
 
     bool traceEnabled() const
     {
-        return !traceOutPath.empty() && traceLevel != TraceLevel::Off;
+        return !traceOutPath.empty() &&
+               traceLevelSetting().effective(traceLevel) != TraceLevel::Off;
     }
 
     bool metricsEnabled() const { return !metricsOutPath.empty(); }
@@ -90,12 +94,10 @@ struct ObservabilityConfig
 };
 
 /**
- * Fill unset fields of @p base from the environment: MNPU_TRACE →
- * traceOutPath, MNPU_METRICS → metricsOutPath, MNPU_OBS_LEVEL →
- * traceLevel (only when the caller left the default, so an explicit
- * --obs-level flag wins). Called at CLI/bench entry — never inside
- * MultiCoreSystem, so concurrent sweep jobs can't race on one output
- * file.
+ * Fill empty output paths of @p base from the environment: MNPU_TRACE
+ * → traceOutPath, MNPU_METRICS → metricsOutPath. Called at CLI/bench
+ * entry — never inside MultiCoreSystem, so concurrent sweep jobs can't
+ * race on one output file.
  */
 ObservabilityConfig observabilityFromEnv(ObservabilityConfig base = {});
 

@@ -1,9 +1,5 @@
 #include "mem/memory_backend.hh"
 
-#include <cstdlib>
-
-#include "common/config.hh"
-#include "common/logging.hh"
 #include "dram/dram_system.hh"
 #include "mem/pcm_backend.hh"
 #include "mem/tiered_backend.hh"
@@ -12,69 +8,23 @@
 namespace mnpu
 {
 
-namespace
+Setting<MemBackendKind> &
+memBackendSetting()
 {
-
-std::optional<MemBackendKind> &
-processDefault()
-{
-    static std::optional<MemBackendKind> kind;
-    return kind;
+    static Setting<MemBackendKind> setting(
+        "memory backend", "MNPU_MEM_BACKEND", MemBackendKind::Dram,
+        {{"hbm2", MemBackendKind::Dram},
+         {"dram", MemBackendKind::Dram},
+         {"pcm", MemBackendKind::Pcm},
+         {"tiered", MemBackendKind::Tiered}},
+        /*ignore_case=*/true);
+    return setting;
 }
-
-} // namespace
 
 const char *
 toString(MemBackendKind kind)
 {
-    switch (kind) {
-    case MemBackendKind::Dram:
-        return "hbm2";
-    case MemBackendKind::Pcm:
-        return "pcm";
-    case MemBackendKind::Tiered:
-        return "tiered";
-    }
-    return "?";
-}
-
-MemBackendKind
-parseMemBackendKind(const std::string &text)
-{
-    if (iequals(text, "hbm2") || iequals(text, "dram"))
-        return MemBackendKind::Dram;
-    if (iequals(text, "pcm"))
-        return MemBackendKind::Pcm;
-    if (iequals(text, "tiered"))
-        return MemBackendKind::Tiered;
-    fatal("unknown memory backend '", text,
-          "' (expected hbm2, pcm, or tiered)");
-}
-
-void
-setMemBackendDefault(MemBackendKind kind)
-{
-    processDefault() = kind;
-}
-
-void
-clearMemBackendDefault()
-{
-    processDefault().reset();
-}
-
-MemBackendKind
-effectiveMemBackendKind(const std::optional<MemBackendKind> &configured)
-{
-    if (configured)
-        return *configured;
-    if (processDefault())
-        return *processDefault();
-    if (const char *env = std::getenv("MNPU_MEM_BACKEND");
-        env && *env != '\0') {
-        return parseMemBackendKind(env);
-    }
-    return MemBackendKind::Dram;
+    return memBackendSetting().toString(kind);
 }
 
 std::unique_ptr<MemoryBackend>

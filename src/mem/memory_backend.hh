@@ -42,6 +42,7 @@
 #include "common/fault_injection.hh"
 #include "common/integrity.hh"
 #include "common/interval_tracer.hh"
+#include "common/settings.hh"
 #include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "common/trace_events.hh"
@@ -60,27 +61,13 @@ enum class MemBackendKind
     Tiered, //!< weights on PCM, activations/walks on DRAM
 };
 
+/**
+ * --mem-backend / MNPU_MEM_BACKEND; built-in Dram, spelled "hbm2"
+ * ("dram" is an alias; names are case-insensitive).
+ */
+Setting<MemBackendKind> &memBackendSetting();
+
 const char *toString(MemBackendKind kind);
-
-/** Parse "hbm2"/"dram" | "pcm" | "tiered"; throws FatalError otherwise. */
-MemBackendKind parseMemBackendKind(const std::string &text);
-
-/**
- * Process-wide default used when an NpuMemConfig does not pin a
- * backend (set from --mem-backend on the CLI/bench command line).
- */
-void setMemBackendDefault(MemBackendKind kind);
-
-/** Undo setMemBackendDefault (test hygiene). */
-void clearMemBackendDefault();
-
-/**
- * Resolve the backend a system runs against: an explicitly configured
- * kind wins, then the process default (--mem-backend), then the
- * MNPU_MEM_BACKEND environment variable, then Dram.
- */
-MemBackendKind
-effectiveMemBackendKind(const std::optional<MemBackendKind> &configured);
 
 /**
  * Declarative channel-partition + bandwidth-share policy, replacing

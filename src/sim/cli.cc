@@ -189,7 +189,7 @@ loadCliRun(const std::string &arch_list_path,
 
     // --- memory backend and fabric (DESIGN.md §14) ---
     if (dram_config.has("mem_backend")) {
-        mem.backend = parseMemBackendKind(
+        mem.backend = memBackendSetting().parse(
             dram_config.requireString("mem_backend"));
     }
     mem.pcm.cacheLines = static_cast<std::uint32_t>(
@@ -327,241 +327,94 @@ writeResults(const std::string &result_dir, const CliRun &run,
     }
 }
 
+std::vector<Flag>
+runFlags(RunFlags &flags)
+{
+    return {
+        settingFlag("--jobs", jobsSetting(),
+                    "workers; built-in: hardware threads"),
+        Flag{"--job-timeout", "S", "wall-clock budget per run, seconds",
+             [&flags](const std::string &value) {
+                 flags.jobTimeout = parsePositiveReal(value);
+             }},
+        settingFlag("--check", checkLevelSetting(),
+                    "integrity checkers; built-in off"),
+        settingFlag("--sched", schedulerSetting(),
+                    "run loop; both are bit-identical"),
+        settingFlag("--fidelity", fidelitySetting(),
+                    "fast = analytic tile model"),
+        settingFlag("--mem-backend", memBackendSetting(),
+                    "off-chip memory; built-in hbm2"),
+        Flag{"--inject", "SITE[:N[:DELAY]]",
+             "fault drill fired at the Nth opportunity",
+             [&flags](const std::string &value) {
+                 flags.injectPlan = parseFaultPlan(value);
+             }},
+        Flag{"--snapshot-every", "N[c|s]",
+             "snapshot every N cycles (N, Nc) or N seconds (Ns)",
+             [&flags](const std::string &value) {
+                 // "N" or "Nc" = every N simulated cycles; "Ns" = every
+                 // N wall-clock seconds (fractions allowed).
+                 char *end = nullptr;
+                 const double amount = std::strtod(value.c_str(), &end);
+                 bool ok = end != value.c_str() && amount > 0;
+                 if (ok && *end == 's' && end[1] == '\0') {
+                     flags.snapshot.everySeconds = amount;
+                 } else if (ok && (*end == '\0' ||
+                                   (*end == 'c' && end[1] == '\0'))) {
+                     flags.snapshot.everyCycles =
+                         static_cast<Cycle>(amount);
+                     ok = flags.snapshot.everyCycles > 0;
+                 } else {
+                     ok = false;
+                 }
+                 if (!ok)
+                     fatal("malformed cadence '", value,
+                           "' (expected N, Nc, or Ns)");
+             }},
+        Flag{"--trace-out", "FILE",
+             "Chrome trace_event JSON (env MNPU_TRACE)",
+             [&flags](const std::string &value) {
+                 flags.obs.traceOutPath = value;
+             }},
+        Flag{"--metrics-out", "FILE",
+             "telemetry, .csv or .jsonl (env MNPU_METRICS)",
+             [&flags](const std::string &value) {
+                 flags.obs.metricsOutPath = value;
+             }},
+        settingFlag("--obs-level", traceLevelSetting(),
+                    "span detail; built-in tiles"),
+    };
+}
+
 int
 mnpusimMain(int argc, char **argv)
 {
     // Optional leading flags before the six positional arguments.
-    RunBudget budget;
-    std::optional<CheckLevel> check_level;
-    std::optional<SchedulerKind> sched_kind;
-    std::optional<FidelityKind> fidelity_kind;
-    FaultPlan fault_plan;
-    ObservabilityConfig obs;
-    SnapshotPolicy snapshot;
+    RunFlags flags;
+    std::vector<Flag> table = runFlags(flags);
+    table.push_back(Flag{
+        "--snapshot", "FILE",
+        "in-flight snapshot file; a valid one resumes the run",
+        [&flags](const std::string &value) {
+            flags.snapshot.path = value;
+        }});
     int first = 1;
-    while (first < argc && argv[first][0] == '-') {
-        std::string flag = argv[first];
-        std::string value;
-        bool has_inline_value = false;
-        auto eq = flag.find('=');
-        if (eq != std::string::npos) {
-            value = flag.substr(eq + 1);
-            flag = flag.substr(0, eq);
-            has_inline_value = true;
-        }
-        auto take_value = [&](const char *name) -> bool {
-            if (has_inline_value)
-                return true;
-            if (first + 1 < argc) {
-                value = argv[first + 1];
-                return true;
-            }
-            std::fprintf(stderr, "%s needs a value\n", name);
-            return false;
-        };
-        if (flag == "--check") {
-            if (!take_value("--check"))
-                return 2;
-            try {
-                check_level = parseCheckLevel(value);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                return 2;
-            }
-            setCheckLevelDefault(*check_level);
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--sched") {
-            if (!take_value("--sched"))
-                return 2;
-            try {
-                sched_kind = parseSchedulerKind(value);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                return 2;
-            }
-            setSchedulerDefault(*sched_kind);
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--fidelity") {
-            if (!take_value("--fidelity"))
-                return 2;
-            try {
-                fidelity_kind = parseFidelityKind(value);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                return 2;
-            }
-            setFidelityDefault(*fidelity_kind);
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--mem-backend") {
-            if (!take_value("--mem-backend"))
-                return 2;
-            try {
-                setMemBackendDefault(parseMemBackendKind(value));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                return 2;
-            }
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--inject") {
-            if (!take_value("--inject"))
-                return 2;
-            try {
-                fault_plan = parseFaultPlan(value);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                return 2;
-            }
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--snapshot") {
-            if (!take_value("--snapshot"))
-                return 2;
-            snapshot.path = value;
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--snapshot-every") {
-            if (!take_value("--snapshot-every"))
-                return 2;
-            // "N" or "Nc" = every N simulated cycles; "Ns" = every N
-            // wall-clock seconds (fractions allowed).
-            char *end = nullptr;
-            double amount = std::strtod(value.c_str(), &end);
-            bool ok = end != value.c_str() && amount > 0;
-            if (ok && *end == 's' && end[1] == '\0') {
-                snapshot.everySeconds = amount;
-            } else if (ok && (*end == '\0' ||
-                              (*end == 'c' && end[1] == '\0'))) {
-                snapshot.everyCycles = static_cast<Cycle>(amount);
-                ok = snapshot.everyCycles > 0;
-            } else {
-                ok = false;
-            }
-            if (!ok) {
-                std::fprintf(stderr,
-                             "malformed --snapshot-every value '%s' "
-                             "(expected N, Nc, or Ns)\n",
-                             value.c_str());
-                return 2;
-            }
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--trace-out") {
-            if (!take_value("--trace-out"))
-                return 2;
-            obs.traceOutPath = value;
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--metrics-out") {
-            if (!take_value("--metrics-out"))
-                return 2;
-            obs.metricsOutPath = value;
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--obs-level") {
-            if (!take_value("--obs-level"))
-                return 2;
-            try {
-                obs.traceLevel = parseTraceLevel(value);
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "%s\n", error.what());
-                return 2;
-            }
-            first += has_inline_value ? 1 : 2;
-            continue;
-        }
-        if (flag == "--jobs") {
-            if (!take_value("--jobs"))
-                return 2;
-            char *end = nullptr;
-            unsigned long jobs = std::strtoul(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || jobs == 0) {
-                std::fprintf(stderr, "malformed --jobs value '%s'\n",
-                             value.c_str());
-                return 2;
-            }
-            setDefaultJobCount(static_cast<std::size_t>(jobs));
-            first += has_inline_value ? 1 : 2;
-        } else if (flag == "--job-timeout") {
-            if (!take_value("--job-timeout"))
-                return 2;
-            char *end = nullptr;
-            double seconds = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' || seconds <= 0) {
-                std::fprintf(stderr,
-                             "malformed --job-timeout value '%s'\n",
-                             value.c_str());
-                return 2;
-            }
-            budget.wallClockSeconds = seconds;
-            first += has_inline_value ? 1 : 2;
-        } else {
-            break;
-        }
+    try {
+        first = parseFlags(argc, argv, 1, table);
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
     }
-    if (argc - first != 6) {
+    if (argc - first != 6 || argv[first][0] == '-') {
+        const char *name = argc > 0 ? argv[0] : "mnpusim";
         std::fprintf(
             stderr,
-            "usage: %s [--jobs N] [--job-timeout SECONDS] "
-            "[--check off|cheap|full] [--sched cycle|event] "
-            "[--fidelity exact|fast] "
-            "[--mem-backend hbm2|pcm|tiered] "
-            "[--inject SITE[:N[:DELAY]]] "
-            "[--snapshot FILE] [--snapshot-every N[c|s]] "
-            "[--trace-out FILE] [--metrics-out FILE] "
-            "[--obs-level off|layers|tiles|requests] "
-            "<arch_config_list> "
-            "<network_config_list> <dram_config> <npumem_config_list> "
-            "<result_path> <misc_config>\n"
-            "  --check   integrity-checker level (also: MNPU_CHECK env)\n"
-            "  --sched   run-loop scheduler (also: MNPU_SCHED env):\n"
-            "            event (default) skips to the next event cycle,\n"
-            "            cycle steps conservatively; results are\n"
-            "            bit-identical\n"
-            "  --fidelity model fidelity (also: MNPU_FIDELITY env):\n"
-            "            exact (default) is golden-ratcheted; fast uses\n"
-            "            an analytic tile model within a committed\n"
-            "            error envelope (falls back to exact under\n"
-            "            --check or --inject)\n"
-            "  --mem-backend off-chip memory backend (also:\n"
-            "            MNPU_MEM_BACKEND env): hbm2 (default) is the\n"
-            "            paper's DRAM model, pcm swaps in slow media\n"
-            "            with a DRAM data cache, tiered routes weights\n"
-            "            to PCM and activations to HBM2; the dram\n"
-            "            config's mem_backend / pcm.* / fabric.* keys\n"
-            "            override per run\n"
-            "  --inject  deterministic fault: dram-drop, dram-dup,\n"
-            "            dram-delay, pte-corrupt, or core-stall, fired\n"
-            "            at the Nth opportunity (default 1); the\n"
-            "            worker-crash / worker-hog sites drill the\n"
-            "            sweep layer's --isolate process mode and are\n"
-            "            inert here\n"
-            "  --snapshot     durable in-flight snapshot file: written\n"
-            "                 atomically on the cadence below and on the\n"
-            "                 first SIGINT/SIGTERM; if the file already\n"
-            "                 exists and validates, the run resumes from\n"
-            "                 it bit-identically (a corrupt or stale\n"
-            "                 snapshot is discarded and the run starts\n"
-            "                 from scratch)\n"
-            "  --snapshot-every  cadence: N or Nc = every N simulated\n"
-            "                 cycles, Ns = every N wall-clock seconds\n"
-            "                 detail via --obs-level (also: MNPU_TRACE,\n"
-            "                 MNPU_OBS_LEVEL env)\n"
-            "  --metrics-out  telemetry snapshot, .csv or .jsonl (also:\n"
-            "                 MNPU_METRICS env); observers are passive —\n"
-            "                 results are bit-identical either way\n"
+            "usage: %s [flags] <arch_config_list> <network_config_list>\n"
+            "       <dram_config> <npumem_config_list> <result_path> "
+            "<misc_config>\n"
+            "%s"
+            "Settings resolve: config key > flag > env > built-in.\n"
             "exit codes: 0 success, 1 config error, 2 usage,\n"
             "            3 contained simulation error,\n"
             "            130 interrupted (SIGINT/SIGTERM: the first\n"
@@ -570,8 +423,7 @@ mnpusimMain(int argc, char **argv)
             "request-level serving mode (arrivals, continuous batching,\n"
             "SLO metrics) lives behind its own flag set: see\n"
             "  %s --serve --help\n",
-            argc > 0 ? argv[0] : "mnpusim",
-            argc > 0 ? argv[0] : "mnpusim");
+            name, flagUsage("flags:", table).c_str(), name);
         return 2;
     }
     argv += first - 1; // keep the 1-based positional indices below
@@ -579,25 +431,22 @@ mnpusimMain(int argc, char **argv)
     // token (the run cancels at its next watchdog check), a second
     // force-exits with the same code.
     installStopSignalHandlers();
+    RunBudget budget;
+    budget.wallClockSeconds = flags.jobTimeout;
     budget.stopToken = stopSignalToken();
     try {
         CliRun run = loadCliRun(argv[1], argv[2], argv[3], argv[4],
                                 argv[6]);
-        if (check_level)
-            run.config.checkLevel = check_level;
-        if (sched_kind)
-            run.config.scheduler = sched_kind;
-        if (fidelity_kind)
-            run.config.fidelity = fidelity_kind;
-        run.config.faultPlan = fault_plan;
-        run.config.obs = observabilityFromEnv(obs);
+        run.config.faultPlan = flags.injectPlan;
+        run.config.obs = observabilityFromEnv(flags.obs);
         inform("simulating ", run.bindings.size(), "-core NPU at level ",
                toString(run.config.level));
-        if (fault_plan.site != FaultSite::None) {
-            inform("injecting fault ", toString(fault_plan.site),
-                   " at opportunity ", fault_plan.triggerCount,
+        if (flags.injectPlan.site != FaultSite::None) {
+            inform("injecting fault ", toString(flags.injectPlan.site),
+                   " at opportunity ", flags.injectPlan.triggerCount,
                    " (checks: ",
-                   toString(effectiveCheckLevel(run.config.checkLevel)),
+                   toString(checkLevelSetting().effective(
+                       run.config.checkLevel)),
                    ")");
         }
         if (run.requestLogs) {
@@ -610,6 +459,7 @@ mnpusimMain(int argc, char **argv)
                 run.config, std::move(writable.bindings));
         };
         auto system = buildSystem();
+        const SnapshotPolicy &snapshot = flags.snapshot;
         if (snapshot.enabled()) {
             budget.snapshot = snapshot;
             if (std::filesystem::exists(snapshot.path)) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/settings.hh"
 #include "sim/multi_core_system.hh"
 
 namespace mnpu
@@ -54,6 +55,22 @@ CliRun loadCliRun(const std::string &arch_list_path,
  */
 void writeResults(const std::string &result_dir, const CliRun &run,
                   const SimResult &result);
+
+/**
+ * Run flags shared by mnpusim and the benches. The setting flags
+ * (--check, --sched, --fidelity, --mem-backend, --obs-level, --jobs)
+ * set their settings' process defaults; the rest land here.
+ */
+struct RunFlags
+{
+    FaultPlan injectPlan;    //!< --inject
+    ObservabilityConfig obs; //!< --trace-out, --metrics-out
+    double jobTimeout = 0;   //!< --job-timeout seconds; 0 = none
+    SnapshotPolicy snapshot; //!< --snapshot-every cadence
+};
+
+/** The shared flag table, writing into @p flags (which must outlive it). */
+std::vector<Flag> runFlags(RunFlags &flags);
 
 /** Entry point used by the mnpusim binary (argc/argv as in §7.3). */
 int mnpusimMain(int argc, char **argv);

@@ -91,7 +91,7 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &config,
     // bandwidth instead. The backend kind (DRAM, PCM, tiered) and an
     // optional XBar fabric come from the mem config / process default.
     const std::uint32_t channels = mem.channelsPerNpu * total_npus;
-    backendKind_ = effectiveMemBackendKind(mem.backend);
+    backendKind_ = memBackendSetting().effective(mem.backend);
     mem_ = makeMemoryBackend(backendKind_, mem.timing, channels,
                              num_cores, mem.dramQueueDepth, mem.pcm,
                              mem.fabric);
@@ -171,8 +171,8 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &config,
     // --- Integrity layer (opt-in): lifecycle tracking at >= Cheap,
     // protocol + translation re-checks at Full, fault injection when a
     // plan is armed. ---
-    checkLevel_ = effectiveCheckLevel(config.checkLevel);
-    scheduler_ = effectiveSchedulerKind(config.scheduler);
+    checkLevel_ = checkLevelSetting().effective(config.checkLevel);
+    scheduler_ = schedulerSetting().effective(config.scheduler);
     // Worker-process drill sites (crash/hog/snapshot) fire outside the
     // simulation; arming the in-sim injector for them would disable
     // event gating and the fast-fidelity resolution for a run whose
@@ -190,7 +190,8 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &config,
     fidelity_ = resolvedFidelityKind(config.fidelity,
                                      injector_ != nullptr, checkLevel_);
     if (fidelity_ == FidelityKind::Exact &&
-        effectiveFidelityKind(config.fidelity) == FidelityKind::Fast) {
+        fidelitySetting().effective(config.fidelity) ==
+            FidelityKind::Fast) {
         inform("fast fidelity requested but ",
                injector_ ? "a fault injector is armed"
                          : "integrity checking is on",
@@ -281,7 +282,8 @@ MultiCoreSystem::setupObservability()
     }
     if (!obs.traceEnabled())
         return;
-    traceSink_ = std::make_unique<TraceEventSink>(obs.traceLevel);
+    traceSink_ = std::make_unique<TraceEventSink>(
+        traceLevelSetting().effective(obs.traceLevel));
     for (CoreId id = 0; id < num_cores; ++id) {
         traceSink_->processName(
             id, "core" + std::to_string(id) + " (" +

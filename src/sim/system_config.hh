@@ -55,7 +55,7 @@ struct NpuMemConfig
     /**
      * Off-chip backend kind. Unset defers to the process default
      * (--mem-backend) and then the MNPU_MEM_BACKEND environment
-     * variable; see effectiveMemBackendKind(). The default (DRAM) is
+     * variable; see memBackendSetting(). The default (DRAM) is
      * the paper's HBM2 model and is excluded from the sweep checkpoint
      * key so historical checkpoints keep resuming; any other kind
      * feeds the key.
@@ -176,7 +176,7 @@ struct SystemConfig
     /**
      * Integrity-layer level for this run. Unset defers to the process
      * default (--check) and then the MNPU_CHECK environment variable;
-     * see effectiveCheckLevel(). Checkers are passive observers —
+     * see checkLevelSetting(). Checkers are passive observers —
      * they never change simulated timing — so this field is excluded
      * from the sweep checkpoint key.
      */
@@ -185,7 +185,7 @@ struct SystemConfig
     /**
      * Main-loop scheduler for this run. Unset defers to the process
      * default (--sched) and then the MNPU_SCHED environment variable;
-     * see effectiveSchedulerKind(). Both schedulers are proven
+     * see schedulerSetting(). Both schedulers are proven
      * bit-identical by the golden/differential suites, so — like
      * checkLevel — this field is excluded from the sweep checkpoint
      * key (sweepJobKey serializes fields explicitly; nothing to mask).
@@ -195,7 +195,7 @@ struct SystemConfig
     /**
      * Model fidelity for this run. Unset defers to the process
      * default (--fidelity) and then the MNPU_FIDELITY environment
-     * variable; see effectiveFidelityKind(). Unlike checkLevel and
+     * variable; see fidelitySetting(). Unlike checkLevel and
      * scheduler, fast fidelity is NOT passive — it changes simulated
      * cycle counts within a measured envelope — so when the run
      * resolves to fast (see resolvedFidelityKind()) it DOES feed the

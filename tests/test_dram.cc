@@ -611,6 +611,15 @@ struct DrainCase
     std::uint32_t requests;
 };
 
+// Printed by value so the test names stay the same from build to build
+// (gtest's fallback dumps the raw bytes, including the preset pointer).
+void
+PrintTo(const DrainCase &drain, std::ostream *os)
+{
+    *os << drain.preset << "_depth" << drain.queueDepth << '_'
+        << drain.requests << "req";
+}
+
 class ChannelDrainTest : public ::testing::TestWithParam<DrainCase>
 {
 };

@@ -256,7 +256,7 @@ TEST(FidelitySweepKey, FastFeedsTheKeyOnlyWhenItActuallyRuns)
     SweepJob default_job = exact_job;
     default_job.config.fidelity.reset();
     const bool default_is_fast =
-        effectiveFidelityKind(std::nullopt) == FidelityKind::Fast;
+        fidelitySetting().effective(std::nullopt) == FidelityKind::Fast;
     EXPECT_EQ(sweepJobKey(default_job, arch, mem, ModelScale::Mini),
               default_is_fast ? fast_key : exact_key);
 

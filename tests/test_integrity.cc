@@ -66,11 +66,12 @@ expectFatal(Body body, const std::string &needle)
 
 TEST(IntegrityParseTest, CheckLevelRoundTrip)
 {
-    EXPECT_EQ(parseCheckLevel("off"), CheckLevel::Off);
-    EXPECT_EQ(parseCheckLevel("cheap"), CheckLevel::Cheap);
-    EXPECT_EQ(parseCheckLevel("full"), CheckLevel::Full);
+    const auto &setting = checkLevelSetting();
+    EXPECT_EQ(setting.parse("off"), CheckLevel::Off);
+    EXPECT_EQ(setting.parse("cheap"), CheckLevel::Cheap);
+    EXPECT_EQ(setting.parse("full"), CheckLevel::Full);
     EXPECT_STREQ(toString(CheckLevel::Cheap), "cheap");
-    expectFatal([] { parseCheckLevel("paranoid"); }, "paranoid");
+    expectFatal([&] { setting.parse("paranoid"); }, "paranoid");
 }
 
 TEST(IntegrityParseTest, EffectiveLevelPrecedence)
@@ -79,11 +80,12 @@ TEST(IntegrityParseTest, EffectiveLevelPrecedence)
     // (--check) wins over the MNPU_CHECK environment, so these hold
     // even when the suite itself runs under MNPU_CHECK=full (the CI
     // integrity job does exactly that).
-    setCheckLevelDefault(CheckLevel::Cheap);
-    EXPECT_EQ(effectiveCheckLevel(std::nullopt), CheckLevel::Cheap);
-    EXPECT_EQ(effectiveCheckLevel(CheckLevel::Full), CheckLevel::Full);
-    EXPECT_EQ(effectiveCheckLevel(CheckLevel::Off), CheckLevel::Off);
-    clearCheckLevelDefault();
+    auto &setting = checkLevelSetting();
+    setting.setDefault(CheckLevel::Cheap);
+    EXPECT_EQ(setting.effective(std::nullopt), CheckLevel::Cheap);
+    EXPECT_EQ(setting.effective(CheckLevel::Full), CheckLevel::Full);
+    EXPECT_EQ(setting.effective(CheckLevel::Off), CheckLevel::Off);
+    setting.clearDefault();
 }
 
 TEST(IntegrityParseTest, FaultPlanSpecs)

@@ -692,17 +692,17 @@ TEST(MemBackendSystemTest, TieredSystemForcesExactFidelity)
 
 TEST(MemBackendSystemTest, ParseAndDefaultRoundTrip)
 {
-    EXPECT_EQ(parseMemBackendKind("hbm2"), MemBackendKind::Dram);
-    EXPECT_EQ(parseMemBackendKind("dram"), MemBackendKind::Dram);
-    EXPECT_EQ(parseMemBackendKind("PCM"), MemBackendKind::Pcm);
-    EXPECT_EQ(parseMemBackendKind("tiered"), MemBackendKind::Tiered);
-    EXPECT_THROW(parseMemBackendKind("flash"), FatalError);
-    setMemBackendDefault(MemBackendKind::Pcm);
-    EXPECT_EQ(effectiveMemBackendKind(std::nullopt),
-              MemBackendKind::Pcm);
-    EXPECT_EQ(effectiveMemBackendKind(MemBackendKind::Tiered),
+    auto &setting = memBackendSetting();
+    EXPECT_EQ(setting.parse("hbm2"), MemBackendKind::Dram);
+    EXPECT_EQ(setting.parse("dram"), MemBackendKind::Dram);
+    EXPECT_EQ(setting.parse("PCM"), MemBackendKind::Pcm);
+    EXPECT_EQ(setting.parse("tiered"), MemBackendKind::Tiered);
+    EXPECT_THROW(setting.parse("flash"), FatalError);
+    setting.setDefault(MemBackendKind::Pcm);
+    EXPECT_EQ(setting.effective(std::nullopt), MemBackendKind::Pcm);
+    EXPECT_EQ(setting.effective(MemBackendKind::Tiered),
               MemBackendKind::Tiered); // explicit config wins
-    clearMemBackendDefault();
+    setting.clearDefault();
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/trace_events.hh"
+#include "sim/cli.hh"
 #include "sim/multi_core_system.hh"
 #include "sw/arch_config.hh"
 
@@ -595,18 +597,21 @@ TEST(ObservabilityConfigTest, EnvFallbacksFillOnlyUnsetFields)
     ::setenv("MNPU_TRACE", "/tmp/env_trace.json", 1);
     ::setenv("MNPU_METRICS", "/tmp/env_metrics.csv", 1);
     ::setenv("MNPU_OBS_LEVEL", "layers", 1);
+    traceLevelSetting().clearDefault();
 
     ObservabilityConfig fromEnv = observabilityFromEnv();
     EXPECT_EQ(fromEnv.traceOutPath, "/tmp/env_trace.json");
     EXPECT_EQ(fromEnv.metricsOutPath, "/tmp/env_metrics.csv");
-    EXPECT_EQ(fromEnv.traceLevel, TraceLevel::Layers);
+    EXPECT_EQ(traceLevelSetting().effective(fromEnv.traceLevel),
+              TraceLevel::Layers);
 
     ObservabilityConfig explicitConfig;
     explicitConfig.traceOutPath = "/tmp/flag_trace.json";
     explicitConfig.traceLevel = TraceLevel::Requests;
     ObservabilityConfig merged = observabilityFromEnv(explicitConfig);
     EXPECT_EQ(merged.traceOutPath, "/tmp/flag_trace.json"); // flag wins
-    EXPECT_EQ(merged.traceLevel, TraceLevel::Requests);
+    EXPECT_EQ(traceLevelSetting().effective(merged.traceLevel),
+              TraceLevel::Requests);
     EXPECT_EQ(merged.metricsOutPath, "/tmp/env_metrics.csv");
 
     ::unsetenv("MNPU_TRACE");
@@ -614,13 +619,74 @@ TEST(ObservabilityConfigTest, EnvFallbacksFillOnlyUnsetFields)
     ::unsetenv("MNPU_OBS_LEVEL");
 }
 
+TEST(ObservabilityConfigTest, ObsLevelFlagBeatsEnvironment)
+{
+    // An explicit `--obs-level tiles` must win over MNPU_OBS_LEVEL even
+    // though tiles is also the built-in level: run mnpusim (in a child
+    // process, so its process defaults stay there) and look for tile
+    // spans in the trace.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("mnpu_obs_flag_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    auto write = [&dir](const char *name, const std::string &text) {
+        std::ofstream(dir / name) << text;
+        return (dir / name).string();
+    };
+    const std::string trace = (dir / "trace.json").string();
+    const std::vector<std::string> args = {
+        "mnpusim", "--obs-level", "tiles", "--fidelity", "exact",
+        "--trace-out", trace,
+        write("archs.txt", write("arch.cfg", "arch.name = tiny\n"
+                                             "arch.array_rows = 16\n"
+                                             "arch.array_cols = 16\n"
+                                             "arch.spm_size = 64KB\n") +
+                               "\n"),
+        write("nets.txt",
+              write("net.csv", "g0, gemm, 64, 64, 64\n") + "\n"),
+        write("dram.cfg", "dram.protocol = hbm2\n"
+                          "channels_per_npu = 2\n"
+                          "capacity_per_npu = 64MB\n"),
+        write("npumems.txt", write("npumem.cfg", "tlb_entries = 64\n"
+                                                 "tlb_ways = 8\n"
+                                                 "ptw = 4\n"
+                                                 "page_size = 4KB\n") +
+                                 "\n"),
+        (dir / "out").string(), write("misc.cfg", "iterations = 1\n")};
+
+    std::optional<std::string> saved;
+    if (const char *old = std::getenv("MNPU_OBS_LEVEL"))
+        saved = old;
+    ::setenv("MNPU_OBS_LEVEL", "layers", 1);
+    EXPECT_EXIT(
+        {
+            std::vector<char *> argv;
+            for (const std::string &arg : args)
+                argv.push_back(const_cast<char *>(arg.c_str()));
+            std::exit(mnpusimMain(static_cast<int>(argv.size()),
+                                  argv.data()));
+        },
+        ::testing::ExitedWithCode(0), "");
+    if (saved)
+        ::setenv("MNPU_OBS_LEVEL", saved->c_str(), 1);
+    else
+        ::unsetenv("MNPU_OBS_LEVEL");
+
+    std::ifstream file(trace);
+    std::stringstream text;
+    text << file.rdbuf();
+    EXPECT_NE(text.str().find("\"cat\":\"tile\""), std::string::npos)
+        << "MNPU_OBS_LEVEL=layers overrode --obs-level tiles";
+    fs::remove_all(dir);
+}
+
 TEST(ObservabilityConfigTest, ParseTraceLevelRoundTripsAndRejects)
 {
     for (TraceLevel level :
          {TraceLevel::Off, TraceLevel::Layers, TraceLevel::Tiles,
           TraceLevel::Requests})
-        EXPECT_EQ(parseTraceLevel(toString(level)), level);
-    EXPECT_THROW(parseTraceLevel("verbose"), FatalError);
+        EXPECT_EQ(traceLevelSetting().parse(toString(level)), level);
+    EXPECT_THROW(traceLevelSetting().parse("verbose"), FatalError);
 }
 
 // ---------------------------------------------------------------------

@@ -144,27 +144,25 @@ outcomeFingerprint(const SweepRecord &record)
 
 TEST(ProcessIsolationTest, IsolationModeParsesAndResolves)
 {
-    EXPECT_EQ(parseIsolationMode("thread"), IsolationMode::Thread);
-    EXPECT_EQ(parseIsolationMode("process"), IsolationMode::Process);
-    EXPECT_THROW(parseIsolationMode("forked"), FatalError);
+    Setting<IsolationMode> &isolation = isolationSetting();
+    EXPECT_EQ(isolation.parse("thread"), IsolationMode::Thread);
+    EXPECT_EQ(isolation.parse("process"), IsolationMode::Process);
+    EXPECT_THROW(isolation.parse("forked"), FatalError);
     EXPECT_STREQ(toString(IsolationMode::Process), "process");
 
-    clearIsolationDefault();
+    isolation.clearDefault();
     ::unsetenv("MNPU_ISOLATE");
-    EXPECT_EQ(effectiveIsolationMode(std::nullopt),
-              IsolationMode::Thread);
+    EXPECT_EQ(isolation.effective(std::nullopt), IsolationMode::Thread);
     // Environment beats the built-in default...
     ::setenv("MNPU_ISOLATE", "process", 1);
-    EXPECT_EQ(effectiveIsolationMode(std::nullopt),
-              IsolationMode::Process);
+    EXPECT_EQ(isolation.effective(std::nullopt), IsolationMode::Process);
     // ...--isolate (the process-wide default) beats the environment...
-    setIsolationDefault(IsolationMode::Thread);
-    EXPECT_EQ(effectiveIsolationMode(std::nullopt),
-              IsolationMode::Thread);
+    isolation.setDefault(IsolationMode::Thread);
+    EXPECT_EQ(isolation.effective(std::nullopt), IsolationMode::Thread);
     // ...and an explicitly configured mode beats everything.
-    EXPECT_EQ(effectiveIsolationMode(IsolationMode::Process),
+    EXPECT_EQ(isolation.effective(IsolationMode::Process),
               IsolationMode::Process);
-    clearIsolationDefault();
+    isolation.clearDefault();
     ::unsetenv("MNPU_ISOLATE");
 }
 

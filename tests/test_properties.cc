@@ -58,6 +58,14 @@ struct TimingKnob
     std::uint32_t DramTiming::*field;
 };
 
+// Printed as the knob name so the test names stay the same from build
+// to build (gtest's fallback dumps the raw bytes, including pointers).
+void
+PrintTo(const TimingKnob &knob, std::ostream *os)
+{
+    *os << knob.name;
+}
+
 class DramTimingMonotoneTest
     : public ::testing::TestWithParam<TimingKnob>
 {
@@ -81,8 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TimingKnob{"tCL", &DramTiming::tCL},
                       TimingKnob{"tRCD", &DramTiming::tRCD},
                       TimingKnob{"tRP", &DramTiming::tRP},
-                      TimingKnob{"tRFC", &DramTiming::tRFC}),
-    [](const auto &info) { return info.param.name; });
+                      TimingKnob{"tRFC", &DramTiming::tRFC}));
 
 // --- page size monotone through the full stack ---
 

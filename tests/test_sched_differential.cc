@@ -155,36 +155,34 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SchedulerKindTest, ParseAndToStringRoundTrip)
 {
-    EXPECT_EQ(parseSchedulerKind("cycle"), SchedulerKind::Cycle);
-    EXPECT_EQ(parseSchedulerKind("event"), SchedulerKind::Event);
+    const auto &setting = schedulerSetting();
+    EXPECT_EQ(setting.parse("cycle"), SchedulerKind::Cycle);
+    EXPECT_EQ(setting.parse("event"), SchedulerKind::Event);
     EXPECT_STREQ(toString(SchedulerKind::Cycle), "cycle");
     EXPECT_STREQ(toString(SchedulerKind::Event), "event");
-    EXPECT_THROW(parseSchedulerKind("eager"), FatalError);
-    EXPECT_THROW(parseSchedulerKind(""), FatalError);
+    EXPECT_THROW(setting.parse("eager"), FatalError);
+    EXPECT_THROW(setting.parse(""), FatalError);
 }
 
 TEST(SchedulerKindTest, EffectiveKindPrecedence)
 {
-    clearSchedulerDefault();
+    auto &setting = schedulerSetting();
+    setting.clearDefault();
     // Explicit config wins over everything.
-    EXPECT_EQ(effectiveSchedulerKind(SchedulerKind::Cycle),
-              SchedulerKind::Cycle);
+    EXPECT_EQ(setting.effective(SchedulerKind::Cycle), SchedulerKind::Cycle);
     // Then the process default (--sched).
-    setSchedulerDefault(SchedulerKind::Cycle);
-    EXPECT_EQ(effectiveSchedulerKind(std::nullopt), SchedulerKind::Cycle);
-    EXPECT_EQ(effectiveSchedulerKind(SchedulerKind::Event),
-              SchedulerKind::Event);
-    clearSchedulerDefault();
+    setting.setDefault(SchedulerKind::Cycle);
+    EXPECT_EQ(setting.effective(std::nullopt), SchedulerKind::Cycle);
+    EXPECT_EQ(setting.effective(SchedulerKind::Event), SchedulerKind::Event);
+    setting.clearDefault();
     // Then MNPU_SCHED, then Event. The env branch only runs when CI's
     // scheduler matrix sets the variable; the unset fallback is pinned
     // here.
     const char *env = std::getenv("MNPU_SCHED");
     if (env == nullptr || *env == '\0') {
-        EXPECT_EQ(effectiveSchedulerKind(std::nullopt),
-                  SchedulerKind::Event);
+        EXPECT_EQ(setting.effective(std::nullopt), SchedulerKind::Event);
     } else {
-        EXPECT_EQ(effectiveSchedulerKind(std::nullopt),
-                  parseSchedulerKind(env));
+        EXPECT_EQ(setting.effective(std::nullopt), setting.parse(env));
     }
 }
 

@@ -120,12 +120,12 @@ TEST(ThreadPoolTest, CollectModeRunsEveryTaskAndKeepsEachException)
 
 TEST(ThreadPoolTest, DefaultJobCountHonorsOverride)
 {
-    setDefaultJobCount(3);
-    EXPECT_EQ(defaultJobCount(), 3u);
+    jobsSetting().setDefault(3);
+    EXPECT_EQ(jobsSetting().effective(std::nullopt), 3u);
     ThreadPool pool;
     EXPECT_EQ(pool.jobs(), 3u);
-    setDefaultJobCount(0);
-    EXPECT_GE(defaultJobCount(), 1u);
+    jobsSetting().clearDefault();
+    EXPECT_GE(jobsSetting().effective(std::nullopt), 1u);
 }
 
 // --- SweepRunner determinism ---
