@@ -10,7 +10,7 @@
  * README "Failure handling"), isolation and scale-out (--isolate,
  * --worker-*, --shard; DESIGN.md §11), in-flight snapshots
  * (--snapshot-dir, --snapshot-every; DESIGN.md §12), the run settings
- * (--check, --sched, --fidelity, --mem-backend, --jobs; README
+ * (--check, --fidelity, --mem-backend, --jobs; README
  * "Settings") and observability (--trace-out, --metrics-out,
  * --obs-level; DESIGN.md §9). --inject and the observability outputs
  * attach to the first job only; a multi-job sweep warns and names the

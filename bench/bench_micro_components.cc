@@ -10,13 +10,13 @@
  *   bench_micro_components --baseline-out FILE
  *     runs a fixed set of golden mixes under both fidelities and
  *     writes one JSON line per (case, fidelity) with the wall clock,
- *     scheduler loop iterations, and global cycles. The committed
+ *     run-loop iterations, and global cycles. The committed
  *     result (bench/BENCH_micro.json) is the PR-over-PR speed ratchet.
  *
  *   bench_micro_components --baseline-check FILE
  *     re-runs the same cases and compares: loop_iterations and
  *     global_cycles must match the baseline exactly (they are
- *     deterministic; a mismatch means behavior or scheduler-visit
+ *     deterministic; a mismatch means behavior or loop-visit
  *     regressions, regenerate alongside the goldens), while wall
  *     clocks are compared RELATIVELY — normalized by the ratio of
  *     total exact-fidelity wall clock, so a uniformly faster/slower
@@ -169,7 +169,6 @@ runBaselineCase(const std::string &name, FidelityKind fidelity)
     SystemConfig config;
     config.level = golden.level;
     config.dramBandwidthShares = golden.dramBandwidthShares;
-    config.scheduler = SchedulerKind::Cycle;
     config.fidelity = fidelity;
 
     // Warm the trace/Ideal caches; the timed run below then measures

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <sstream>
 
 #include "analysis/experiment.hh"
@@ -41,6 +42,13 @@ goldenCases()
     return cases;
 }
 
+void
+PrintTo(const GoldenCase &golden, std::ostream *os)
+{
+    for (char c : golden.name)
+        *os << (c == '-' ? '_' : c);
+}
+
 const GoldenCase &
 goldenCase(const std::string &name)
 {
@@ -52,8 +60,8 @@ goldenCase(const std::string &name)
 }
 
 SweepCheckpointRecord
-runGoldenCase(const GoldenCase &golden, SchedulerKind sched,
-              const ObservabilityConfig &obs, FidelityKind fidelity)
+runGoldenCase(const GoldenCase &golden, const ObservabilityConfig &obs,
+              FidelityKind fidelity)
 {
     // Mini scale + mini NPU profile, matching the benches' default
     // (fast) configuration, so fixtures regenerate in seconds.
@@ -68,7 +76,6 @@ runGoldenCase(const GoldenCase &golden, SchedulerKind sched,
     SystemConfig config;
     config.level = golden.level;
     config.dramBandwidthShares = golden.dramBandwidthShares;
-    config.scheduler = sched;
     config.fidelity = fidelity;
     config.obs = obs;
 
@@ -109,7 +116,7 @@ servingGoldenCases()
 }
 
 SweepCheckpointRecord
-runServingGoldenCase(const ServingGoldenCase &golden, SchedulerKind sched)
+runServingGoldenCase(const ServingGoldenCase &golden)
 {
     NpuMemConfig mem = NpuMemConfig::cloudNpu();
     mem.timing = DramTiming::preset(golden.protocol);
@@ -119,7 +126,6 @@ runServingGoldenCase(const ServingGoldenCase &golden, SchedulerKind sched)
 
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = sched;
     config.fidelity = FidelityKind::Exact;
     config.serving = golden.serving;
 
@@ -289,10 +295,9 @@ findJsonNumber(const std::string &line, const char *key, double &out)
 FidelityEnvelopeEntry
 measureFidelityEnvelope(const GoldenCase &golden)
 {
-    SweepCheckpointRecord exact =
-        runGoldenCase(golden, SchedulerKind::Cycle);
-    SweepCheckpointRecord fast = runGoldenCase(
-        golden, SchedulerKind::Cycle, {}, FidelityKind::Fast);
+    SweepCheckpointRecord exact = runGoldenCase(golden);
+    SweepCheckpointRecord fast =
+        runGoldenCase(golden, {}, FidelityKind::Fast);
 
     FidelityEnvelopeEntry entry;
     entry.name = golden.name;

@@ -7,7 +7,7 @@
  * compared bit-exactly against tests/golden/<name>.json.
  *
  * The fixtures pin simulated *behavior*, not wall clock: any change to
- * core, MMU, DRAM, or scheduler code that shifts a single counter in
+ * core, MMU, DRAM, or run-loop code that shifts a single counter in
  * any case fails test_golden_trace loudly, instead of drifting the
  * paper's figures silently. Intentional behavior changes regenerate
  * the fixtures with the update_golden tool (--update-golden) and the
@@ -23,12 +23,12 @@
 #ifndef MNPU_ANALYSIS_GOLDEN_HH
 #define MNPU_ANALYSIS_GOLDEN_HH
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/sweep_checkpoint.hh"
-#include "common/scheduler.hh"
 #include "sim/system_config.hh"
 
 namespace mnpu
@@ -49,9 +49,17 @@ struct GoldenCase
 const std::vector<GoldenCase> &goldenCases();
 
 /**
+ * gtest printer: the case name with '-' spelled '_'. Parameterized
+ * suites over goldenCases() take their test-name suffix from this, so
+ * the names stay stable across builds (gtest's default dumps the
+ * struct's bytes, heap pointers included).
+ */
+void PrintTo(const GoldenCase &golden, std::ostream *os);
+
+/**
  * One committed serving golden case (DESIGN.md §13): a fixed-seed
  * open-loop scenario on a GPT-2 serving system. Kept in a separate
- * list from goldenCases() so the batch-only harnesses (scheduler
+ * list from goldenCases() so the batch-only harnesses (stepping
  * differential, fidelity envelope) never iterate serving scenarios,
  * and the eight batch fixtures stay byte-identical.
  */
@@ -71,7 +79,7 @@ const std::vector<ServingGoldenCase> &servingGoldenCases();
 const GoldenCase &goldenCase(const std::string &name);
 
 /**
- * Run one case under @p sched at Mini scale and flatten the outcome
+ * Run one case at Mini scale and flatten the outcome
  * into its checkpoint-v2 record, keyed by the case name, with
  * wallSeconds pinned to zero so the serialized line is deterministic.
  * @p obs optionally enables observability outputs for the run — the
@@ -83,20 +91,18 @@ const GoldenCase &goldenCase(const std::string &name);
  * measure the analytic model against the committed error envelope.
  */
 SweepCheckpointRecord runGoldenCase(const GoldenCase &golden,
-                                    SchedulerKind sched,
                                     const ObservabilityConfig &obs = {},
                                     FidelityKind fidelity =
                                         FidelityKind::Exact);
 
 /**
- * Run one serving case under @p sched at Mini scale and flatten it
+ * Run one serving case at Mini scale and flatten it
  * into its checkpoint record (including the flat serving_* fields),
  * keyed by the case name with wallSeconds pinned to zero. Fidelity is
  * always Exact: serving scenarios are pinned bit-exactly and stay out
  * of the fast-fidelity envelope.
  */
-SweepCheckpointRecord runServingGoldenCase(const ServingGoldenCase &golden,
-                                           SchedulerKind sched);
+SweepCheckpointRecord runServingGoldenCase(const ServingGoldenCase &golden);
 
 /** Serialized fixture content: the record's JSON line + newline. */
 std::string goldenFixtureText(const SweepCheckpointRecord &record);
@@ -134,7 +140,7 @@ struct FidelityEnvelopeEntry
 };
 
 /**
- * Run @p golden under the cycle scheduler in both fidelities and
+ * Run @p golden in both fidelities and
  * measure the analytic model's relative cycle error. Deterministic:
  * the same sources always produce the same entry.
  */

@@ -245,12 +245,8 @@ sweepJobKey(const SweepJob &job, const ArchConfig &arch,
     // (which crash the process, not the simulation) share clean
     // records. checkLevel is intentionally excluded: checkers are
     // passive observers and a run is bit-identical at every level.
-    // The scheduler kind is excluded for the same reason — the event
-    // scheduler is proven bit-identical to per-cycle stepping (see
-    // the golden/differential tests), so either may restore the
-    // other's checkpoints. Isolation mode and sharding are excluded
-    // too: they decide where and whether a job runs, never what it
-    // computes.
+    // Isolation mode and sharding are excluded too: they decide where
+    // and whether a job runs, never what it computes.
     if (perturbsSimulation(config.faultPlan.site)) {
         hasher.feed("inject");
         hasher.feedInt(static_cast<int>(config.faultPlan.site));

@@ -3,8 +3,8 @@
  * Fidelity selection for MultiCoreSystem::run(): cycle-exact component
  * models versus the analytic tile-level fast path.
  *
- * Unlike the scheduler choice (which is proven bit-identical and
- * therefore passive), fast fidelity *changes results*: cores advance a
+ * Unlike the check level (a passive observer), fast fidelity
+ * *changes results*: cores advance a
  * whole tile per event using a closed-form latency model, and DRAM
  * transfers are batched per tile instead of per 64-byte transaction.
  * The deviation from exact is measured and committed per golden mix in

@@ -116,8 +116,9 @@ class DramProtocolChecker
      * Order-sensitive FNV-1a hash of the observed command stream
      * (kind, rank/bank, row, cycle of every ACT/PRE/auto-PRE/RD/WR/
      * REF). Equal hashes mean the channel issued the identical
-     * command sequence — the witness the differential scheduler test
-     * uses to prove cycle and event mode agree below the counters.
+     * command sequence — the witness the differential stepping test
+     * uses to prove the per-cycle reference and the event loop agree
+     * below the counters.
      */
     std::uint64_t streamHash() const { return streamHash_; }
 

@@ -16,7 +16,7 @@
  *
  * Stable metric-name schema (documented in DESIGN.md §9):
  *   sim.global_cycles            run length in global (DRAM) cycles
- *   sched.loop_iterations        main-loop iterations (scheduler-dependent,
+ *   sched.loop_iterations        main-loop iterations (stepping-dependent,
  *                                excluded from golden comparisons)
  *   core<i>.local_cycles         per-core completion time, local cycles
  *   core<i>.finished_at_global   per-core completion time, global cycles

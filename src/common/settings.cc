@@ -17,8 +17,8 @@ envValue(const char *name)
     return std::string(value);
 }
 
-std::uint32_t
-parseCount(const std::string &text, bool allow_zero)
+std::uint64_t
+parseCount64(const std::string &text, bool allow_zero)
 {
     if (text.empty())
         fatal("empty count (expected digits)");
@@ -26,12 +26,22 @@ parseCount(const std::string &text, bool allow_zero)
     for (char c : text) {
         if (c < '0' || c > '9')
             fatal("malformed count '", text, "' (expected digits only)");
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        if (value > std::numeric_limits<std::uint32_t>::max())
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
             fatal("count '", text, "' is too large");
+        value = value * 10 + digit;
     }
     if (value == 0 && !allow_zero)
         fatal("count '", text, "' must be positive");
+    return value;
+}
+
+std::uint32_t
+parseCount(const std::string &text, bool allow_zero)
+{
+    const std::uint64_t value = parseCount64(text, allow_zero);
+    if (value > std::numeric_limits<std::uint32_t>::max())
+        fatal("count '", text, "' is too large");
     return static_cast<std::uint32_t>(value);
 }
 

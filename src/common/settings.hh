@@ -2,8 +2,8 @@
  * @file
  * Run settings and the command-line flags that set them.
  *
- * A run setting (scheduler, fidelity, check level, memory backend,
- * isolation mode, trace detail, worker count) is one Setting object:
+ * A run setting (fidelity, check level, memory backend, isolation
+ * mode, trace detail, worker count) is one Setting object:
  * a table of accepted spellings, an MNPU_* environment variable and a
  * built-in default. Every setting resolves by the same rule:
  *
@@ -46,6 +46,9 @@ std::optional<std::string> envValue(const char *name);
  * otherwise.
  */
 std::uint32_t parseCount(const std::string &text, bool allow_zero = false);
+
+/** parseCount over the full 64-bit range (seeds, cycle counts). */
+std::uint64_t parseCount64(const std::string &text, bool allow_zero = false);
 
 /** Strict positive real (e.g. seconds); FatalError otherwise. */
 double parsePositiveReal(const std::string &text);

@@ -312,8 +312,8 @@ NpuCore::tick(Cycle now)
     // at most dmaIssueWidth transactions per core clock). The refresh
     // is reconstructed as of tr — the first global cycle that attained
     // the current local cycle — so a scheduler that skipped tr (no
-    // work happened there) computes the exact budget the per-cycle
-    // scheduler was carrying: the span (tr, now] lies within one local
+    // work happened there) computes the exact budget per-cycle
+    // stepping was carrying: the span (tr, now] lies within one local
     // cycle, and skipped cycles spend nothing.
     const Cycle local = clock_.toLocalFloor(now);
     const std::uint64_t width = trace_.arch().dmaIssueWidth;
@@ -390,40 +390,6 @@ NpuCore::onDramCompletion(std::uint64_t tag, Cycle)
 }
 
 Cycle
-NpuCore::nextTickCycle(Cycle now) const
-{
-    // The fast model is event-complete (every state change happens at
-    // a precomputed doneAt), so the sharp bound is safe for the cycle
-    // scheduler too.
-    if (fastMode_)
-        return fastNextEventCycle(now);
-    if (done_)
-        return kCycleNever;
-    if (stalled_)
-        return now + 1; // livelock by design; the watchdog ends the run
-    if (!started_)
-        return std::max(now + 1, config_.startCycleGlobal);
-    // Waiting on the memory system: the MMU/DRAM next-event covers us,
-    // but issue opportunities may appear each cycle.
-    if (!dramReady_.empty() || !inflightTx_.empty())
-        return now + 1;
-    if (computeTile_ < tiles_.size()) {
-        const TileState &tile = tiles_[computeTile_];
-        if (tile.computeStarted && !tile.computeDone) {
-            // Pure compute: fast-forward to completion, unless DMA work
-            // could proceed meanwhile.
-            if (loadTile_ < tiles_.size() &&
-                bufferFreeForLoad(loadTile_)) {
-                return now + 1;
-            }
-            return std::max(now + 1,
-                            clock_.toGlobal(tile.computeDoneLocal));
-        }
-    }
-    return now + 1;
-}
-
-Cycle
 NpuCore::nextEventCycle(Cycle now) const
 {
     if (fastMode_)
@@ -463,7 +429,7 @@ NpuCore::nextEventCycle(Cycle now) const
         } else if (!xlatBlocked_) {
             // First failed attempt against a full MMU queue is itself a
             // state change (the retry counter's episode transition) and
-            // must land exactly where the per-cycle scheduler lands it.
+            // must land exactly where a per-cycle run lands it.
             consider(now + 1);
         }
         // else: blocked on a full MMU queue mid-episode; the MMU bound

@@ -63,12 +63,6 @@ class NpuCore
     bool done() const { return done_; }
 
     /**
-     * Conservative per-cycle bound (the cycle scheduler): now + 1
-     * whenever the core might do anything.
-     */
-    Cycle nextTickCycle(Cycle now) const;
-
-    /**
      * Sharp lower bound on the next cycle tick() changes state. Only
      * self-timed events need candidates here (tile compute finish,
      * the DMA budget refresh at the next local-cycle boundary, start
@@ -295,9 +289,9 @@ class NpuCore
     /**
      * Blocked-episode flags: the retry counters count transitions into
      * a blocked state (one per episode), not per-cycle retries — a
-     * per-cycle count would depend on how many cycles the scheduler
-     * visits while blocked, which is exactly what the two schedulers
-     * legitimately disagree on.
+     * per-cycle count would depend on how many cycles the run loop
+     * visits while blocked, which is exactly what the event loop and
+     * the per-cycle reference legitimately disagree on.
      */
     bool dramBlocked_ = false;
     bool xlatBlocked_ = false;

@@ -482,17 +482,6 @@ DramChannel::energyPj(Cycle elapsed_cycles) const
 }
 
 Cycle
-DramChannel::nextTickCycle(Cycle now) const
-{
-    Cycle next = kCycleNever;
-    if (!completions_.empty())
-        next = completionsTop().at;
-    if (queueSize() != 0)
-        next = std::min(next, now + 1);
-    return next;
-}
-
-Cycle
 DramChannel::nextEventCycle(Cycle now) const
 {
     Cycle next = kCycleNever;

@@ -141,12 +141,6 @@ class DramChannel
     }
 
     /**
-     * Conservative per-cycle bound (the cycle scheduler): now + 1
-     * whenever any transaction is queued, else the next completion.
-     */
-    Cycle nextTickCycle(Cycle now) const;
-
-    /**
      * Sharp lower bound on the next cycle tick() changes state: the
      * earliest of the next completion, the next possible refresh on
      * any rank, and per queued request the earliest cycle its next

@@ -98,33 +98,6 @@ DramSystem::applyPolicy(const SharingPolicy &policy)
         applyBandwidthShares(*policy.bandwidthShares);
 }
 
-void
-DramSystem::setPartition(CoreId core, std::vector<std::uint32_t> channels)
-{
-    if (core >= partitions_.size())
-        fatal("setPartition: core ", core, " out of range");
-    SharingPolicy policy;
-    policy.channels = SharingPolicy::Channels::Explicit;
-    policy.explicitSets = partitions_;
-    policy.explicitSets[core] = std::move(channels);
-    applyPolicy(policy);
-}
-
-void
-DramSystem::shareAllChannels()
-{
-    applyPolicy(SharingPolicy{});
-}
-
-void
-DramSystem::partitionByCounts(const std::vector<std::uint32_t> &counts)
-{
-    SharingPolicy policy;
-    policy.channels = SharingPolicy::Channels::ByCounts;
-    policy.channelCounts = counts;
-    applyPolicy(policy);
-}
-
 DramSystem::Route
 DramSystem::route(const DramRequest &request) const
 {
@@ -141,15 +114,6 @@ DramSystem::route(const DramRequest &request) const
 }
 
 void
-DramSystem::setBandwidthShares(const std::vector<std::uint32_t> &shares)
-{
-    SharingPolicy policy;
-    policy.channels = SharingPolicy::Channels::Keep;
-    policy.bandwidthShares = shares;
-    applyPolicy(policy);
-}
-
-void
 DramSystem::applyBandwidthShares(const std::vector<std::uint32_t> &shares)
 {
     if (shares.empty()) {
@@ -163,7 +127,7 @@ DramSystem::applyBandwidthShares(const std::vector<std::uint32_t> &shares)
     for (auto share : shares)
         total += share;
     if (total == 0)
-        fatal("setBandwidthShares: shares sum to zero");
+        fatal("bandwidth shares: shares sum to zero");
     // Peak bytes per global (DRAM) cycle across the whole system: the
     // bus moves 2 beats/cycle (DDR) of busBytes per channel.
     double peak_per_cycle = 2.0 * timing_.busBytes *
@@ -416,17 +380,6 @@ DramSystem::busy() const
 }
 
 Cycle
-DramSystem::nextTickCycle(Cycle now) const
-{
-    Cycle next = kCycleNever;
-    for (const auto &entry : delayed_)
-        next = std::min(next, std::max(entry.at, now + 1));
-    for (const auto &channel : channels_)
-        next = std::min(next, channel->nextTickCycle(now));
-    return next;
-}
-
-Cycle
 DramSystem::nextEventCycle(Cycle now) const
 {
     Cycle next = kCycleNever;
@@ -435,8 +388,8 @@ DramSystem::nextEventCycle(Cycle now) const
     // A starved token bucket gets a closed-form refill-crossing
     // candidate: the first cycle the anchored balance reaches one
     // transaction's cost. The anchor only moves on successful spends
-    // (which happen at visited cycles in both schedulers), so the
-    // crossing is a pure function of state both schedulers share; the
+    // (which happen at visited cycles under any stepping), so the
+    // crossing is a pure function of state every stepping shares; the
     // ±1 adjustment loops pin T against float rounding using the exact
     // admission expression.
     auto cost = static_cast<double>(timing_.transactionBytes());

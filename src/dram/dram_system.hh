@@ -47,41 +47,15 @@ class DramSystem : public MemoryBackend
                const std::string &stat_prefix = "dram");
 
     /**
-     * Apply a declarative channel-partition + bandwidth-share policy.
-     * The one write path for sharing configuration; the legacy
-     * setPartition/shareAllChannels/partitionByCounts/
-     * setBandwidthShares entry points forward here.
-     */
-    void applyPolicy(const SharingPolicy &policy) override;
-
-    /**
-     * Give @p core exclusive use of the listed channels.
-     * @deprecated Build a SharingPolicy (Channels::Explicit) and call
-     * applyPolicy() instead; kept one release as a thin forwarder.
-     */
-    void setPartition(CoreId core, std::vector<std::uint32_t> channels);
-
-    /**
-     * Every core interleaves across all channels (dynamic sharing).
-     * @deprecated Forwarder for applyPolicy({Channels::ShareAll}).
-     */
-    void shareAllChannels();
-
-    /**
-     * Split channels contiguously by @p counts (must sum to total).
-     * @deprecated Forwarder for applyPolicy (Channels::ByCounts).
-     */
-    void partitionByCounts(const std::vector<std::uint32_t> &counts);
-
-    /**
-     * Static bandwidth partitioning the mNPUsim way: the DRAM structure
+     * Apply a declarative channel-partition + bandwidth-share policy:
+     * the one write path for sharing configuration. Bandwidth shares
+     * are the mNPUsim way of static partitioning: the DRAM structure
      * stays fully shared ("DRAM is always shared by all NPUs"), but
      * each core's enqueue rate is capped by a token bucket at
-     * @p shares[core] / sum(shares) of the system's peak bandwidth.
-     * Pass an empty vector to remove all caps (dynamic sharing).
-     * @deprecated Forwarder for applyPolicy (bandwidthShares engaged).
+     * shares[core] / sum(shares) of the system's peak bandwidth; an
+     * empty share vector removes all caps (dynamic sharing).
      */
-    void setBandwidthShares(const std::vector<std::uint32_t> &shares);
+    void applyPolicy(const SharingPolicy &policy) override;
 
     /**
      * Try to queue a transaction. @return false when the target channel
@@ -119,7 +93,7 @@ class DramSystem : public MemoryBackend
     bool canAccept(const DramRequest &request) const override;
 
     /**
-     * Advance to global cycle @p now. In the default (cycle-scheduler)
+     * Advance to global cycle @p now. In the default (exhaustive)
      * mode every busy channel is ticked. In event-driven mode (see
      * setEventDriven) only channels whose cached event bound is due or
      * that were enqueued-to since their last tick are ticked — a
@@ -132,7 +106,7 @@ class DramSystem : public MemoryBackend
      * per-channel cached nextEventCycle and skips channels with no due
      * work, and nextEventCycle(now) returns the cached minimum instead
      * of rescanning every queue. Enqueues mark their channel dirty so
-     * the next tick revisits it. Used by the event scheduler; direct
+     * the next tick revisits it. Used by the gated run loop; direct
      * per-cycle users keep the default exhaustive mode.
      */
     void setEventDriven(bool enabled) override;
@@ -160,12 +134,6 @@ class DramSystem : public MemoryBackend
     bool busy() const override;
 
     /**
-     * Conservative per-cycle bound (the cycle scheduler): now + 1
-     * whenever any channel has queued work.
-     */
-    Cycle nextTickCycle(Cycle now) const override;
-
-    /**
      * Sharp lower bound on the next cycle the DRAM system (any
      * channel, a delayed fault release, or a token-bucket refill a
      * starved requester is waiting on) changes state. See
@@ -177,7 +145,7 @@ class DramSystem : public MemoryBackend
      * FNV-1a hash over every DRAM command the protocol checkers have
      * observed, aggregated across channels (0 when checks are off).
      * Two runs with identical hashes issued the identical command
-     * stream — the differential scheduler test's strongest witness.
+     * stream — the differential stepping test's strongest witness.
      */
     std::uint64_t protocolStreamHash() const override;
 
@@ -354,7 +322,7 @@ class DramSystem : public MemoryBackend
      * available() — the anchor moves only on a successful spend. A
      * failed admission therefore mutates nothing, which makes the
      * bucket's evolution independent of how often blocked requesters
-     * retry (the property both schedulers' bit-identity rests on).
+     * retry (the property the event loop's bit-identity rests on).
      */
     struct TokenBucket
     {

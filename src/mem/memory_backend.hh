@@ -14,17 +14,18 @@
  * MemBackend conformance suite and the golden/differential harnesses):
  *
  *  - Admission purity: a tryEnqueue() that returns false mutates
- *    NOTHING. The anchored-token-bucket property generalizes — both
- *    schedulers' bit-identity rests on refused admissions being
- *    invisible, because the two schedulers retry at different cycles.
+ *    NOTHING. The anchored-token-bucket property generalizes — the event
+ *    loop's bit-identity with the per-cycle reference rests on refused
+ *    admissions being invisible, because the two retry at different
+ *    cycles.
  *  - Event bounds never overshoot: nextEventCycle(now) is a lower
  *    bound on the next cycle the backend's observable state changes.
  *    Undershooting costs a no-op visit; overshooting breaks the event
- *    scheduler's equivalence proof.
+ *    loop's equivalence with the per-cycle reference.
  *  - Stat mutations only on state changes: counters may move only on
- *    events both schedulers execute identically (accepted admissions,
- *    deliveries) — never on refusals or probe calls, whose count is
- *    scheduler-dependent.
+ *    events every stepping executes identically (accepted admissions,
+ *    deliveries) — never on refusals or probe calls, whose count
+ *    depends on which cycles are visited.
  *  - saveState/loadState round-trip bit-identically: a restored run
  *    continues byte-identical to the uninterrupted one.
  */
@@ -70,10 +71,8 @@ Setting<MemBackendKind> &memBackendSetting();
 const char *toString(MemBackendKind kind);
 
 /**
- * Declarative channel-partition + bandwidth-share policy, replacing
- * the overlapping setPartition / shareAllChannels / partitionByCounts
- * + setBandwidthShares entry points. Declarative matters for multi-
- * backend systems: "share all channels" resolves against each
+ * Declarative channel-partition + bandwidth-share policy. Declarative
+ * matters for multi-backend systems: "share all channels" resolves against each
  * backend's own channel count instead of baking one system's channel
  * indices into the caller.
  */
@@ -159,7 +158,6 @@ class MemoryBackend
     virtual void setEventDriven(bool enabled) = 0;
     virtual bool poked() const = 0;
     virtual bool consumeRetrySignal() = 0;
-    virtual Cycle nextTickCycle(Cycle now) const = 0;
     virtual Cycle nextEventCycle(Cycle now) const = 0;
 
     // --- Partitioning / bandwidth-share policy. ---

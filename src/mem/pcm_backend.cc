@@ -85,8 +85,8 @@ PcmBackend::tryEnqueue(const DramRequest &request, Cycle now)
     if (!DramSystem::tryEnqueue(request, now))
         return false;
     if (request.op == MemOp::Read) {
-        // Miss: allocate the line at admission (deterministic in both
-        // schedulers — admissions are sched-identical events).
+        // Miss: allocate the line at admission (deterministic under
+        // any stepping — admissions are stepping-identical events).
         cacheMisses_.inc();
         std::size_t line = cacheIndex(request.paddr);
         if (cacheTags_[line] != kNoTag)
@@ -138,15 +138,6 @@ bool
 PcmBackend::busy() const
 {
     return !pending_.empty() || DramSystem::busy();
-}
-
-Cycle
-PcmBackend::nextTickCycle(Cycle now) const
-{
-    Cycle next = DramSystem::nextTickCycle(now);
-    if (!pending_.empty())
-        next = std::min(next, std::max(pending_.front().due, now + 1));
-    return next;
 }
 
 Cycle

@@ -55,7 +55,6 @@ class PcmBackend : public DramSystem
     bool canAccept(const DramRequest &request) const override;
     void tick(Cycle now) override;
     bool busy() const override;
-    Cycle nextTickCycle(Cycle now) const override;
     Cycle nextEventCycle(Cycle now) const override;
 
     void visitStatGroups(const StatGroupVisitor &visit) const override;

@@ -77,12 +77,6 @@ TieredBackend::consumeRetrySignal()
 }
 
 Cycle
-TieredBackend::nextTickCycle(Cycle now) const
-{
-    return std::min(hot_->nextTickCycle(now), cold_->nextTickCycle(now));
-}
-
-Cycle
 TieredBackend::nextEventCycle(Cycle now) const
 {
     return std::min(hot_->nextEventCycle(now), cold_->nextEventCycle(now));

@@ -53,7 +53,6 @@ class TieredBackend : public MemoryBackend
     void setEventDriven(bool enabled) override;
     bool poked() const override;
     bool consumeRetrySignal() override;
-    Cycle nextTickCycle(Cycle now) const override;
     Cycle nextEventCycle(Cycle now) const override;
 
     void applyPolicy(const SharingPolicy &policy) override;

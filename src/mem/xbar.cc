@@ -61,11 +61,11 @@ void
 XBar::tick(Cycle now)
 {
     // Drain downstream first so a slot it frees this cycle is seen by
-    // this cycle's forwards in both schedulers alike.
+    // this cycle's forwards under any stepping alike.
     downstream_->tick(now);
     const std::size_t ports = queues_.size();
     // Round-robin arbitration anchored on simulated time, not visit
-    // count: the winner rotation is identical across schedulers.
+    // count: the winner rotation is identical under any stepping.
     const std::size_t start = static_cast<std::size_t>(now % ports);
     for (std::size_t i = 0; i < ports; ++i) {
         const std::size_t p = (start + i) % ports;
@@ -113,17 +113,6 @@ XBar::consumeRetrySignal()
     bool signal = retrySignal_;
     retrySignal_ = false;
     return downstream_->consumeRetrySignal() || signal;
-}
-
-Cycle
-XBar::nextTickCycle(Cycle now) const
-{
-    Cycle next = downstream_->nextTickCycle(now);
-    for (const auto &queue : queues_) {
-        if (!queue.empty())
-            next = std::min(next, now + 1);
-    }
-    return next;
 }
 
 Cycle

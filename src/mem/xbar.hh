@@ -13,13 +13,13 @@
  *
  * Arbitration is round-robin with the start port derived from the
  * cycle number (now % ports), never from visit counts — the rotation
- * is a pure function of simulated time, which is what keeps the two
- * schedulers bit-identical through the fabric.
+ * is a pure function of simulated time, which is what keeps the event
+ * loop bit-identical to per-cycle stepping through the fabric.
  *
  * Contention is observable under the `fabric.*` stats: requests
  * enqueued/forwarded and the cycles requests waited beyond the bare
  * traversal latency. Counters move only on accepted admissions and
- * successful forwards (scheduler-identical events), never on refusals.
+ * successful forwards (stepping-identical events), never on refusals.
  */
 
 #ifndef MNPU_MEM_XBAR_HH
@@ -53,7 +53,6 @@ class XBar : public MemoryBackend
     void setEventDriven(bool enabled) override;
     bool poked() const override;
     bool consumeRetrySignal() override;
-    Cycle nextTickCycle(Cycle now) const override;
     Cycle nextEventCycle(Cycle now) const override;
 
     void applyPolicy(const SharingPolicy &policy) override;

@@ -299,8 +299,8 @@ Mmu::processPending(Cycle now)
     // Private TLBs: an independent budget per core.
     // The rotation pointer advances only on ticks that serviced at
     // least one lookup: idle ticks must not perturb arbitration, or
-    // the event scheduler (which skips exactly the idle ticks) would
-    // arbitrate differently from the cycle scheduler.
+    // the event loop (which skips exactly the idle ticks) would
+    // arbitrate differently from the per-cycle reference.
     if (config_.sharedTlb) {
         std::uint32_t budget = config_.tlbBandwidth;
         const std::uint32_t budget0 = budget;
@@ -442,7 +442,7 @@ Mmu::startWalks(Cycle now)
         }
         // Rotate only after a granting pass (see processPending):
         // fruitless passes — including every tick with no demand —
-        // must leave arbitration untouched so both schedulers agree.
+        // must leave arbitration untouched so both steppings agree.
         if (granted)
             walkRoundRobin_ = (walkRoundRobin_ + 1) % n;
     }
@@ -515,12 +515,6 @@ Mmu::busy() const
         if (walker.state != WalkerState::Idle)
             return true;
     return false;
-}
-
-Cycle
-Mmu::nextTickCycle(Cycle now) const
-{
-    return busy() ? now + 1 : kCycleNever;
 }
 
 Cycle

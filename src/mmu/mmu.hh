@@ -134,9 +134,6 @@ class Mmu
 
     bool busy() const;
 
-    /** Conservative per-cycle bound: now + 1 whenever busy(). */
-    Cycle nextTickCycle(Cycle now) const;
-
     /**
      * Sharp lower bound on the next cycle tick() changes state: the
      * earliest pending-lookup readyAt, or now + 1 when a ready lookup

@@ -1,15 +1,16 @@
 #include "serving/serving_cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
+#include "common/settings.hh"
 #include "common/stop_signal.hh"
 #include "serving/engine.hh"
 #include "sim/multi_core_system.hh"
@@ -46,42 +47,20 @@ parseServingLevel(const std::string &text)
           "' (expected static, d, dw, or dwt)");
 }
 
-std::uint64_t
-parseUint(const std::string &text, const char *what)
+/** Sets a 32-bit count; -1, abc, 4x, 0 and overflow are usage errors. */
+std::function<void(const std::string &)>
+countInto(std::uint32_t &out)
 {
-    char *end = nullptr;
-    std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        fatal("malformed ", what, " value '", text, "'");
-    return value;
+    return [&out](const std::string &value) { out = parseCount(value); };
 }
 
-int
-usage(const char *argv0)
+/** Sets a 64-bit value where 0 is meaningful (seed, waived SLO, no cap). */
+std::function<void(const std::string &)>
+u64Into(std::uint64_t &out)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s --serve [--arrival poisson:RATE|trace:FILE]\n"
-        "       [--seed N] [--requests N] [--cores N] [--level "
-        "static|d|dw|dwt]\n"
-        "       [--max-batch N] [--prompt-tokens N] [--decode-tokens N]\n"
-        "       [--ttft-slo CYCLES] [--tpot-slo CYCLES]\n"
-        "       [--arch mini|cloud] [--scale mini|full] [--max-cycles N]\n"
-        "       [--metrics-out FILE] [--requests-out FILE]\n"
-        "  --arrival   open-loop arrival process: poisson:RATE offers\n"
-        "              RATE requests per million global cycles from the\n"
-        "              seeded generator; trace:FILE replays an explicit\n"
-        "              'arrival_cycle,prompt_tokens,decode_tokens' CSV\n"
-        "  --seed      arrival-process seed; the full outcome is a pure\n"
-        "              function of the flags and this seed\n"
-        "  --metrics-out  telemetry snapshot incl. the serving.* schema\n"
-        "                 (.csv or .jsonl)\n"
-        "  --requests-out per-request trace CSV (timestamps, attributed\n"
-        "                 bytes, KV stream bytes)\n"
-        "exit codes: 0 success, 1 config error, 2 usage,\n"
-        "            3 contained simulation error, 130 interrupted\n",
-        argv0);
-    return 2;
+    return [&out](const std::string &value) {
+        out = parseCount64(value, true);
+    };
 }
 
 } // namespace
@@ -94,106 +73,94 @@ servingMain(int argc, char **argv)
     std::uint32_t num_cores = 2;
     bool full_scale = false;
     bool cloud_arch = false;
-    std::string metrics_out, requests_out;
+    bool help = false;
+    std::string trace_path, metrics_out, requests_out;
 
-    // argv[1] is "--serve"; everything after is name/value flags.
-    int i = 2;
-    auto value_of = [&](const char *name) -> std::string {
-        if (i + 1 >= argc)
-            fatal(name, " needs a value");
-        return argv[++i];
+    const std::vector<Flag> table = {
+        Flag{"--arrival", "poisson:RATE|trace:FILE",
+             "RATE requests/Mcycle, or an arrival,prompt,decode CSV",
+             [&](const std::string &spec) {
+                 const std::string poisson = "poisson:";
+                 const std::string trace = "trace:";
+                 if (spec.rfind(poisson, 0) == 0) {
+                     serving.poissonRatePerMcycle =
+                         parsePositiveReal(spec.substr(poisson.size()));
+                     trace_path.clear();
+                 } else if (spec.rfind(trace, 0) == 0 &&
+                            spec.size() > trace.size()) {
+                     trace_path = spec.substr(trace.size());
+                 } else {
+                     fatal("malformed '", spec,
+                           "' (expected poisson:RATE or trace:FILE)");
+                 }
+             }},
+        Flag{"--seed", "N", "arrival seed, 0 to 2^64-1; fixes the outcome",
+             u64Into(serving.seed)},
+        Flag{"--requests", "N", "requests the Poisson process offers",
+             countInto(serving.numRequests)},
+        Flag{"--cores", "N", "NPU cores", countInto(num_cores)},
+        Flag{"--level", "static|d|dw|dwt", "sharing level",
+             [&config](const std::string &value) {
+                 config.level = parseServingLevel(value);
+             }},
+        Flag{"--max-batch", "N", "resident requests per core",
+             countInto(serving.maxBatchPerCore)},
+        Flag{"--prompt-tokens", "N", "mean prompt length (Poisson mode)",
+             countInto(serving.meanPromptTokens)},
+        Flag{"--decode-tokens", "N", "mean decode length (Poisson mode)",
+             countInto(serving.meanDecodeTokens)},
+        Flag{"--ttft-slo", "CYCLES", "time-to-first-token SLO; 0 waives it",
+             u64Into(serving.ttftSloCycles)},
+        Flag{"--tpot-slo", "CYCLES", "time-per-output-token SLO; 0 waives it",
+             u64Into(serving.tpotSloCycles)},
+        Flag{"--arch", "mini|cloud", "NPU profile; built-in mini",
+             [&cloud_arch](const std::string &value) {
+                 if (!iequals(value, "cloud") && !iequals(value, "mini"))
+                     fatal("unknown arch '", value, "'");
+                 cloud_arch = iequals(value, "cloud");
+             }},
+        Flag{"--scale", "mini|full", "model scale; built-in mini",
+             [&full_scale](const std::string &value) {
+                 if (!iequals(value, "full") && !iequals(value, "mini"))
+                     fatal("unknown scale '", value, "'");
+                 full_scale = iequals(value, "full");
+             }},
+        Flag{"--max-cycles", "N", "serving-clock cycle cap; 0 = none",
+             u64Into(config.maxGlobalCycles)},
+        Flag{"--metrics-out", "FILE",
+             "telemetry incl. serving.*, .csv or .jsonl",
+             [&metrics_out](const std::string &value) {
+                 metrics_out = value;
+             }},
+        Flag{"--requests-out", "FILE", "per-request trace CSV",
+             [&requests_out](const std::string &value) {
+                 requests_out = value;
+             }},
+        Flag{"--help", "", "this text",
+             [&help](const std::string &) { help = true; }},
     };
+
+    // argv[1] is "--serve"; everything after is flags.
+    int first = argc;
     try {
-        for (; i < argc; ++i) {
-            std::string flag = argv[i];
-            if (flag == "--arrival") {
-                std::string spec = value_of("--arrival");
-                const std::string poisson = "poisson:";
-                const std::string trace = "trace:";
-                if (spec.rfind(poisson, 0) == 0) {
-                    char *end = nullptr;
-                    std::string rate = spec.substr(poisson.size());
-                    serving.poissonRatePerMcycle =
-                        std::strtod(rate.c_str(), &end);
-                    if (end == rate.c_str() || *end != '\0' ||
-                        serving.poissonRatePerMcycle <= 0) {
-                        fatal("malformed --arrival rate '", rate, "'");
-                    }
-                    serving.arrivalTrace.clear();
-                } else if (spec.rfind(trace, 0) == 0) {
-                    std::string path = spec.substr(trace.size());
-                    serving.arrivalTrace = readFileText(path);
-                    // An empty trace string means "use Poisson" to the
-                    // engine; an empty trace *file* is a config error.
-                    if (trim(serving.arrivalTrace).empty())
-                        fatal("arrival trace '", path, "' is empty");
-                } else {
-                    fatal("malformed --arrival '", spec,
-                          "' (expected poisson:RATE or trace:FILE)");
-                }
-            } else if (flag == "--seed") {
-                serving.seed = parseUint(value_of("--seed"), "--seed");
-            } else if (flag == "--requests") {
-                serving.numRequests = static_cast<std::uint32_t>(
-                    parseUint(value_of("--requests"), "--requests"));
-            } else if (flag == "--cores") {
-                num_cores = static_cast<std::uint32_t>(
-                    parseUint(value_of("--cores"), "--cores"));
-                if (num_cores == 0)
-                    fatal("--cores must be positive");
-            } else if (flag == "--level") {
-                config.level = parseServingLevel(value_of("--level"));
-            } else if (flag == "--max-batch") {
-                serving.maxBatchPerCore = static_cast<std::uint32_t>(
-                    parseUint(value_of("--max-batch"), "--max-batch"));
-            } else if (flag == "--prompt-tokens") {
-                serving.meanPromptTokens = static_cast<std::uint32_t>(
-                    parseUint(value_of("--prompt-tokens"),
-                              "--prompt-tokens"));
-            } else if (flag == "--decode-tokens") {
-                serving.meanDecodeTokens = static_cast<std::uint32_t>(
-                    parseUint(value_of("--decode-tokens"),
-                              "--decode-tokens"));
-            } else if (flag == "--ttft-slo") {
-                serving.ttftSloCycles =
-                    parseUint(value_of("--ttft-slo"), "--ttft-slo");
-            } else if (flag == "--tpot-slo") {
-                serving.tpotSloCycles =
-                    parseUint(value_of("--tpot-slo"), "--tpot-slo");
-            } else if (flag == "--arch") {
-                std::string arch = value_of("--arch");
-                if (iequals(arch, "cloud"))
-                    cloud_arch = true;
-                else if (iequals(arch, "mini"))
-                    cloud_arch = false;
-                else
-                    fatal("unknown --arch '", arch, "'");
-            } else if (flag == "--scale") {
-                std::string scale = value_of("--scale");
-                if (iequals(scale, "full"))
-                    full_scale = true;
-                else if (iequals(scale, "mini"))
-                    full_scale = false;
-                else
-                    fatal("unknown --scale '", scale, "'");
-            } else if (flag == "--max-cycles") {
-                config.maxGlobalCycles =
-                    parseUint(value_of("--max-cycles"), "--max-cycles");
-            } else if (flag == "--metrics-out") {
-                metrics_out = value_of("--metrics-out");
-            } else if (flag == "--requests-out") {
-                requests_out = value_of("--requests-out");
-            } else if (flag == "--help" || flag == "-h") {
-                return usage(argv[0]);
-            } else {
-                std::fprintf(stderr, "unknown serve flag '%s'\n",
-                             argv[i]);
-                return usage(argv[0]);
-            }
-        }
+        first = parseFlags(argc, argv, 2, table);
     } catch (const FatalError &error) {
-        std::fprintf(stderr, "fatal: %s\n", error.what());
-        return 1;
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+    }
+    if (first < argc || help) {
+        if (first < argc)
+            std::fprintf(stderr, "%s: unknown serve flag\n", argv[first]);
+        std::fprintf(stderr,
+                     "%s"
+                     "exit codes: 0 success, 1 config error, 2 usage,\n"
+                     "            3 contained simulation error, 130 "
+                     "interrupted\n",
+                     flagUsage(std::string("usage: ") + argv[0] +
+                                   " --serve",
+                               table)
+                         .c_str());
+        return 2;
     }
 
     installStopSignalHandlers();
@@ -201,6 +168,13 @@ servingMain(int argc, char **argv)
     budget.stopToken = stopSignalToken();
 
     try {
+        if (!trace_path.empty()) {
+            serving.arrivalTrace = readFileText(trace_path);
+            // An empty trace string means "use Poisson" to the engine;
+            // an empty trace *file* is a config error.
+            if (trim(serving.arrivalTrace).empty())
+                fatal("arrival trace '", trace_path, "' is empty");
+        }
         config.serving = serving;
         ArchConfig arch =
             cloud_arch ? ArchConfig::cloudNpu() : ArchConfig::miniNpu();

@@ -339,8 +339,6 @@ runFlags(RunFlags &flags)
              }},
         settingFlag("--check", checkLevelSetting(),
                     "integrity checkers; built-in off"),
-        settingFlag("--sched", schedulerSetting(),
-                    "run loop; both are bit-identical"),
         settingFlag("--fidelity", fidelitySetting(),
                     "fast = analytic tile model"),
         settingFlag("--mem-backend", memBackendSetting(),
@@ -408,6 +406,8 @@ mnpusimMain(int argc, char **argv)
     }
     if (argc - first != 6 || argv[first][0] == '-') {
         const char *name = argc > 0 ? argv[0] : "mnpusim";
+        if (first < argc && argv[first][0] == '-')
+            std::fprintf(stderr, "%s: unknown flag\n", argv[first]);
         std::fprintf(
             stderr,
             "usage: %s [flags] <arch_config_list> <network_config_list>\n"

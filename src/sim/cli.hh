@@ -58,8 +58,8 @@ void writeResults(const std::string &result_dir, const CliRun &run,
 
 /**
  * Run flags shared by mnpusim and the benches. The setting flags
- * (--check, --sched, --fidelity, --mem-backend, --obs-level, --jobs)
- * set their settings' process defaults; the rest land here.
+ * (--check, --fidelity, --mem-backend, --obs-level, --jobs) set
+ * their settings' process defaults; the rest land here.
  */
 struct RunFlags
 {

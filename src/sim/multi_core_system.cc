@@ -7,8 +7,6 @@
 
 #include "common/errors.hh"
 #include "common/logging.hh"
-#include "mem/tiered_backend.hh"
-#include "mem/xbar.hh"
 
 namespace mnpu
 {
@@ -172,7 +170,6 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &config,
     // protocol + translation re-checks at Full, fault injection when a
     // plan is armed. ---
     checkLevel_ = checkLevelSetting().effective(config.checkLevel);
-    scheduler_ = schedulerSetting().effective(config.scheduler);
     // Worker-process drill sites (crash/hog/snapshot) fire outside the
     // simulation; arming the in-sim injector for them would disable
     // event gating and the fast-fidelity resolution for a run whose
@@ -244,22 +241,6 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &config,
     // attachment, windowed series, and the metrics registry. ---
     setupObservability();
     buildMetricsRegistry();
-}
-
-const DramSystem &
-MultiCoreSystem::dram() const
-{
-    const MemoryBackend *backend = mem_.get();
-    if (const auto *xbar = dynamic_cast<const XBar *>(backend))
-        backend = &xbar->downstream();
-    if (const auto *tiered = dynamic_cast<const TieredBackend *>(backend))
-        backend = &tiered->hotTier();
-    const auto *dram = dynamic_cast<const DramSystem *>(backend);
-    if (!dram) {
-        fatal("MultiCoreSystem::dram(): the '", backend->kindName(),
-              "' backend is not DRAM-based; use memory() instead");
-    }
-    return *dram;
 }
 
 void
@@ -475,17 +456,17 @@ MultiCoreSystem::run(const RunBudget &budget)
             ::raise(SIGKILL);
     };
 
-    const bool event_mode = scheduler_ == SchedulerKind::Event;
-    // Per-component gating (event scheduler only): a component whose
-    // cached sharp bound is in the future and that received no input
-    // since its last tick is guaranteed to no-op, so its tick is
-    // skipped even at visited cycles. Inputs that invalidate a cached
-    // bound raise poke flags (completions, accepted translations,
-    // enqueues); conditions that can unblock a refused enqueue — a
-    // freed channel-queue slot or a token-bucket re-crossing — raise
-    // the DRAM retry signal. Fault drills keep tick-everything
-    // semantics: an armed injector fires on un-modeled schedules.
-    const bool gated = event_mode && injector_ == nullptr;
+    // Per-component gating: a component whose cached sharp bound is
+    // in the future and that received no input since its last tick is
+    // guaranteed to no-op, so its tick is skipped even at visited
+    // cycles. Inputs that invalidate a cached bound raise poke flags
+    // (completions, accepted translations, enqueues); conditions that
+    // can unblock a refused enqueue — a freed channel-queue slot or a
+    // token-bucket re-crossing — raise the DRAM retry signal. Fault
+    // drills and the per-cycle reference tick everything: an armed
+    // injector fires on un-modeled schedules.
+    const bool reference = budget.perCycleReference;
+    const bool gated = !reference && injector_ == nullptr;
     mem_->setEventDriven(gated);
     const std::size_t n = cores_.size();
     Cycle mmuNext = 0;                //!< cached MMU bound (gated mode)
@@ -494,7 +475,7 @@ MultiCoreSystem::run(const RunBudget &budget)
         // Watchdog: wall clock and the stop token are sampled every
         // 256 iterations (including the first) so a livelocked run
         // still exits promptly without a syscall per event — and also
-        // after any long skipped span, so the event scheduler cannot
+        // after any long skipped span, so the event loop cannot
         // coast past a cancellation between samples.
         if (sampler.shouldSample(iteration, now)) {
             if (budget.heartbeat) {
@@ -540,9 +521,9 @@ MultiCoreSystem::run(const RunBudget &budget)
         // first-issuer advantage into the shared MMU/DRAM queues.
         // Rotate on rounds where some core actually did work, not on
         // the loop iteration count: no-op iterations are exactly the
-        // cycles the event scheduler skips, so counting them would
-        // make the rotation — and therefore arbitration — depend on
-        // which scheduler is running. For the same reason a gated-out
+        // cycles the event loop skips, so counting them would make the
+        // rotation — and therefore arbitration — depend on which
+        // cycles are visited. For the same reason a gated-out
         // (provably no-op) tick and an executed no-op tick contribute
         // identically: neither counts as work.
         const std::size_t first = static_cast<std::size_t>(serviceRound % n);
@@ -579,12 +560,11 @@ MultiCoreSystem::run(const RunBudget &budget)
         if (allDone())
             break;
 
-        // The cycle scheduler uses the conservative per-cycle bounds
-        // (visit every cycle anything might happen); the event
-        // scheduler uses the sharp bounds and jumps straight to the
-        // earliest one. Both run the identical tick code above at
-        // every visited cycle, so proving the sharp bounds never
-        // overshoot proves the two schedulers bit-identical.
+        // Jump straight to the earliest sharp bound. The per-cycle
+        // reference runs the identical tick code above at every cycle,
+        // so proving the sharp bounds never overshoot proves the two
+        // steppings bit-identical; it still takes the bound, only to
+        // tell a deadlock apart.
         Cycle next;
         if (gated) {
             // Cached bounds are valid for every component that was not
@@ -596,16 +576,11 @@ MultiCoreSystem::run(const RunBudget &budget)
             next = std::min(next, mmu_->poked() ? now + 1 : mmuNext);
             for (std::size_t i = 0; i < n; ++i)
                 next = std::min(next, coreNext[i]);
-        } else if (event_mode) {
+        } else {
             next = mem_->nextEventCycle(now);
             next = std::min(next, mmu_->nextEventCycle(now));
             for (auto &core : cores_)
                 next = std::min(next, core->nextEventCycle(now));
-        } else {
-            next = mem_->nextTickCycle(now);
-            next = std::min(next, mmu_->nextTickCycle(now));
-            for (auto &core : cores_)
-                next = std::min(next, core->nextTickCycle(now));
         }
         if (next == kCycleNever) {
             // No component will ever act again. Distinguish a dropped
@@ -622,7 +597,7 @@ MultiCoreSystem::run(const RunBudget &budget)
                                now, " with unfinished cores"));
         }
         mnpu_assert(next > now, "time must advance");
-        now = next;
+        now = reference ? now + 1 : next;
         if (max_cycles != 0 && now > max_cycles) {
             // No snapshot here: a blown cycle budget would blow again
             // immediately on resume, so persisting is pointless.
@@ -775,7 +750,6 @@ MultiCoreSystem::configFingerprint() const
     mixFnv(hash, config_.mem.ptwPerNpu);
     mixFnv(hash, config_.mem.translationEnabled ? 1 : 0);
     mixFnv(hash, static_cast<std::uint64_t>(checkLevel_));
-    mixFnv(hash, static_cast<std::uint64_t>(scheduler_));
     mixFnv(hash, static_cast<std::uint64_t>(fidelity_));
     mixFnv(hash, config_.telemetryWindow);
     mixFnv(hash, config_.requestTraceWindow);

@@ -16,7 +16,6 @@
 #include "common/snapshot.hh"
 #include "common/types.hh"
 #include "core/npu_core.hh"
-#include "dram/dram_system.hh"
 #include "mem/memory_backend.hh"
 #include "mmu/mmu.hh"
 #include "sim/system_config.hh"
@@ -56,8 +55,9 @@ struct SimResult
     std::uint64_t dramRowHits = 0;
     std::uint64_t dramRowMisses = 0;
     /**
-     * Run-loop iterations (visited cycles). Scheduler-dependent by
-     * design — the event scheduler's whole point is fewer of these —
+     * Run-loop iterations (visited cycles). Stepping-dependent by
+     * design — the event loop's whole point is fewer of these than
+     * the per-cycle reference —
      * so it is excluded from golden snapshots and checkpoints.
      */
     std::uint64_t loopIterations = 0;
@@ -128,15 +128,7 @@ class MultiCoreSystem
     /** Backend kind the system resolved at build time. */
     MemBackendKind backendKind() const { return backendKind_; }
 
-    /**
-     * Component access after run().
-     * @deprecated Reach the memory system through memory() instead;
-     * this downcast forwarder exists only for legacy callers that
-     * predate the MemoryBackend interface. It unwraps an XBar fabric
-     * and returns a tiered backend's hot (DRAM) tier; it aborts when
-     * the backend is not DRAM-based at all.
-     */
-    const DramSystem &dram() const;
+    /** Component access after run(). */
     const Mmu &mmu() const { return *mmu_; }
     const NpuCore &core(CoreId id) const { return *cores_[id]; }
     std::uint32_t numCores() const
@@ -147,9 +139,6 @@ class MultiCoreSystem
 
     /** Check level this system actually runs at (resolved at build). */
     CheckLevel checkLevel() const { return checkLevel_; }
-
-    /** Scheduler this system actually runs with (resolved at build). */
-    SchedulerKind scheduler() const { return scheduler_; }
 
     /**
      * Fidelity this system actually runs at (resolved at build). May
@@ -194,7 +183,6 @@ class MultiCoreSystem
     std::unique_ptr<Mmu> mmu_;
     std::vector<std::unique_ptr<NpuCore>> cores_;
     CheckLevel checkLevel_ = CheckLevel::Off;
-    SchedulerKind scheduler_ = SchedulerKind::Event;
     FidelityKind fidelity_ = FidelityKind::Exact;
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<RequestLifecycleTracker> tracker_;

@@ -18,7 +18,6 @@
 #include "common/fault_injection.hh"
 #include "common/fidelity.hh"
 #include "common/integrity.hh"
-#include "common/scheduler.hh"
 #include "common/snapshot.hh"
 #include "common/trace_events.hh"
 #include "common/types.hh"
@@ -120,6 +119,15 @@ struct RunBudget
      * state.
      */
     std::function<void()> heartbeat;
+
+    /**
+     * Per-cycle reference stepping (DESIGN.md §8), for tests only: tick
+     * every component and advance to now + 1 instead of the gated event
+     * loop. The bound contract makes it bit-identical to the default
+     * run, so no flag, environment variable, config key or checkpoint
+     * key exposes it; differential tests flip it to prove exactly that.
+     */
+    bool perCycleReference = false;
 };
 
 struct SystemConfig
@@ -183,21 +191,11 @@ struct SystemConfig
     std::optional<CheckLevel> checkLevel;
 
     /**
-     * Main-loop scheduler for this run. Unset defers to the process
-     * default (--sched) and then the MNPU_SCHED environment variable;
-     * see schedulerSetting(). Both schedulers are proven
-     * bit-identical by the golden/differential suites, so — like
-     * checkLevel — this field is excluded from the sweep checkpoint
-     * key (sweepJobKey serializes fields explicitly; nothing to mask).
-     */
-    std::optional<SchedulerKind> scheduler;
-
-    /**
      * Model fidelity for this run. Unset defers to the process
      * default (--fidelity) and then the MNPU_FIDELITY environment
-     * variable; see fidelitySetting(). Unlike checkLevel and
-     * scheduler, fast fidelity is NOT passive — it changes simulated
-     * cycle counts within a measured envelope — so when the run
+     * variable; see fidelitySetting(). Unlike checkLevel, fast
+     * fidelity is NOT passive — it changes simulated cycle counts
+     * within a measured envelope — so when the run
      * resolves to fast (see resolvedFidelityKind()) it DOES feed the
      * sweep checkpoint key; exact stays excluded so existing
      * checkpoints keep resuming.
@@ -226,7 +224,7 @@ struct SystemConfig
 
     /**
      * Observability outputs (--trace-out / --metrics-out / --obs-level).
-     * Like checkLevel and scheduler, observers are passive — a run
+     * Like checkLevel, observers are passive — a run
      * with tracing on is bit-identical to one with it off — so these
      * fields are excluded from the sweep checkpoint key. Environment
      * fallbacks (MNPU_TRACE/MNPU_METRICS) are resolved at CLI/bench

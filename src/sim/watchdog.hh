@@ -5,8 +5,8 @@
  * load, and lost-response audit run.
  *
  * The historical policy — every 256th loop iteration — was sound for
- * the per-cycle scheduler, where iterations and simulated cycles
- * advance in lockstep. The event scheduler breaks that: one iteration
+ * per-cycle stepping, where iterations and simulated cycles advance
+ * in lockstep. The event loop breaks that: one iteration
  * can skip millions of cycles, so an iteration-only policy could let a
  * cancelled or deadline-blown run coast through enormous simulated
  * spans between samples. The sampler therefore also fires whenever

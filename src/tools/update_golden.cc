@@ -2,8 +2,8 @@
  * @file
  * Golden-trace fixture maintenance tool.
  *
- * Default mode is a dry run: simulate every golden case (cycle
- * scheduler, MNPU_CHECK-independent) and report, per fixture, whether
+ * Default mode is a dry run: simulate every golden case (the
+ * production run loop, MNPU_CHECK-independent) and report, per fixture, whether
  * tests/golden/<name>.json matches the current behavior — without
  * writing anything. Pass --update-golden to rewrite the fixtures that
  * differ (or don't exist yet); the resulting JSON diff is reviewed and
@@ -11,7 +11,7 @@
  *
  * With --envelope the tool instead maintains the fast-fidelity error
  * envelope (tests/golden/fidelity_envelope.json): every golden case is
- * run in both fidelities under the cycle scheduler and the measured
+ * run in both fidelities and the measured
  * relative cycle deviation plus its committed bound are written as one
  * JSON line per case. Same dry-run/--update-golden semantics.
  *
@@ -155,8 +155,7 @@ main(int argc, char **argv)
         ++checked;
         std::string fresh;
         try {
-            fresh = goldenFixtureText(
-                runGoldenCase(golden, SchedulerKind::Cycle));
+            fresh = goldenFixtureText(runGoldenCase(golden));
         } catch (const std::exception &error) {
             std::fprintf(stderr, "%-32s ERROR: %s\n", golden.name.c_str(),
                          error.what());
@@ -171,8 +170,7 @@ main(int argc, char **argv)
         ++checked;
         std::string fresh;
         try {
-            fresh = goldenFixtureText(
-                runServingGoldenCase(golden, SchedulerKind::Cycle));
+            fresh = goldenFixtureText(runServingGoldenCase(golden));
         } catch (const std::exception &error) {
             std::fprintf(stderr, "%-32s ERROR: %s\n", golden.name.c_str(),
                          error.what());

@@ -363,10 +363,38 @@ TEST(DramChannelTest, BulkCannotFillPriorityReserve)
 
 // --- system ---
 
+SharingPolicy
+byCounts(std::vector<std::uint32_t> counts)
+{
+    SharingPolicy policy;
+    policy.channels = SharingPolicy::Channels::ByCounts;
+    policy.channelCounts = std::move(counts);
+    return policy;
+}
+
+SharingPolicy
+explicitSets(std::vector<std::vector<std::uint32_t>> sets)
+{
+    SharingPolicy policy;
+    policy.channels = SharingPolicy::Channels::Explicit;
+    policy.explicitSets = std::move(sets);
+    return policy;
+}
+
+/** Bandwidth caps only; the channel layout stays as it is. */
+SharingPolicy
+sharesOnly(std::vector<std::uint32_t> shares)
+{
+    SharingPolicy policy;
+    policy.channels = SharingPolicy::Channels::Keep;
+    policy.bandwidthShares = std::move(shares);
+    return policy;
+}
+
 TEST(DramSystemTest, RoutesEveryCoreWhenShared)
 {
     DramSystem dram(DramTiming::hbm2(), 4, 2, 32);
-    dram.shareAllChannels();
+    dram.applyPolicy(SharingPolicy{});
     std::uint64_t done = 0;
     dram.setCallback([&](const DramRequest &, Cycle) { ++done; });
     Cycle now = 0;
@@ -393,7 +421,7 @@ TEST(DramSystemTest, RoutesEveryCoreWhenShared)
 TEST(DramSystemTest, PartitionByCountsIsolatesChannels)
 {
     DramSystem dram(DramTiming::hbm2(), 8, 2, 32);
-    dram.partitionByCounts({2, 6});
+    dram.applyPolicy(byCounts({2, 6}));
     std::map<std::uint64_t, std::uint64_t> per_core_bytes;
     dram.setCallback([&](const DramRequest &request, Cycle) {
         per_core_bytes[request.core] += 64;
@@ -424,17 +452,25 @@ TEST(DramSystemTest, PartitionByCountsIsolatesChannels)
 TEST(DramSystemTest, PartitionValidation)
 {
     DramSystem dram(DramTiming::hbm2(), 8, 2, 32);
-    EXPECT_THROW(dram.partitionByCounts({4}), FatalError);
-    EXPECT_THROW(dram.partitionByCounts({4, 3}), FatalError);
-    EXPECT_THROW(dram.partitionByCounts({0, 8}), FatalError);
-    EXPECT_THROW(dram.setPartition(5, {0}), FatalError);
-    EXPECT_THROW(dram.setPartition(0, {9}), FatalError);
+    EXPECT_THROW(dram.applyPolicy(byCounts({4})), FatalError);
+    EXPECT_THROW(dram.applyPolicy(byCounts({4, 3})), FatalError);
+    EXPECT_THROW(dram.applyPolicy(byCounts({0, 8})), FatalError);
+    // A set for a core the system lacks (core 5 of 2), an out-of-range
+    // channel, and a core left without channels.
+    EXPECT_THROW(dram.applyPolicy(explicitSets({{0}, {1}, {2}, {3}, {4},
+                                                {5}})),
+                 FatalError);
+    EXPECT_THROW(dram.applyPolicy(explicitSets({{9}, {1}})), FatalError);
+    EXPECT_THROW(dram.applyPolicy(explicitSets({{}, {1}})), FatalError);
+    EXPECT_THROW(dram.applyPolicy(sharesOnly({1})), FatalError);
+    EXPECT_THROW(dram.applyPolicy(sharesOnly({0, 0})), FatalError);
+    dram.applyPolicy(explicitSets({{0, 7}, {1, 2, 3}}));
 }
 
 TEST(DramSystemTest, BandwidthSharesThrottleEnqueue)
 {
     DramSystem dram(DramTiming::hbm2(), 4, 2, 64);
-    dram.setBandwidthShares({1, 1});
+    dram.applyPolicy(sharesOnly({1, 1}));
     Cycle now = 0;
     // Core 0 hammers; acceptance rate must approximate half of the
     // system peak: 4 channels * 32 B/cycle avg = 128 B/cy total,
@@ -460,8 +496,8 @@ TEST(DramSystemTest, BandwidthSharesThrottleEnqueue)
 TEST(DramSystemTest, EmptySharesDisableThrottle)
 {
     DramSystem dram(DramTiming::hbm2(), 4, 2, 64);
-    dram.setBandwidthShares({1, 1});
-    dram.setBandwidthShares({});
+    dram.applyPolicy(sharesOnly({1, 1}));
+    dram.applyPolicy(sharesOnly({}));
     DramRequest request;
     request.paddr = 0;
     request.op = MemOp::Read;
@@ -510,7 +546,7 @@ TEST(DramSystemTest, NonPowerOfTwoChannelSets)
     // 7 channels for one core (the 1:7 ratio case) must route without
     // aliasing: distinct addresses complete distinctly.
     DramSystem dram(DramTiming::hbm2(), 8, 2, 32);
-    dram.partitionByCounts({1, 7});
+    dram.applyPolicy(byCounts({1, 7}));
     std::set<std::uint64_t> tags_done;
     dram.setCallback([&](const DramRequest &request, Cycle) {
         tags_done.insert(request.tag);

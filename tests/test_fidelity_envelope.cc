@@ -3,18 +3,14 @@
  * Fast-fidelity ratchet tests.
  *
  * The --fidelity fast path trades per-transaction simulation for a
- * closed-form tile model, so unlike the scheduler choice it is NOT
- * bit-identical to exact. These tests hold the two halves of that
- * contract:
- *
- *  - exact stays the golden-ratcheted ground truth: explicitly pinning
- *    FidelityKind::Exact reproduces every committed fixture byte-for-
- *    byte under BOTH schedulers (i.e. PR-introduced fast-path code is
- *    provably dead when exact is selected);
- *  - fast stays inside the committed error envelope
- *    (tests/golden/fidelity_envelope.json): per golden mix, the
- *    relative cycle deviation (global and per-core local) against the
- *    committed exact fixture must not exceed the envelope bound.
+ * closed-form tile model, so it is NOT bit-identical to exact. Exact
+ * stays the golden-ratcheted ground truth (test_golden_trace runs with
+ * FidelityKind::Exact pinned, so fast-path code is provably dead when
+ * exact is selected); these tests hold the other half of the contract:
+ * fast stays inside the committed error envelope
+ * (tests/golden/fidelity_envelope.json): per golden mix, the relative
+ * cycle deviation (global and per-core local) against the committed
+ * exact fixture must not exceed the envelope bound.
  *
  * Plus the checkpoint-identity rules: a job that resolves to fast gets
  * a different sweepJobKey than exact (so fast results can never alias
@@ -108,35 +104,11 @@ class FidelityEnvelope : public testing::TestWithParam<GoldenCase>
 {
 };
 
-// Explicitly pinning Exact must reproduce the committed fixture
-// byte-for-byte under both schedulers: selecting exact keeps every
-// fast-path branch dead, and the envelope machinery cannot perturb
-// the ground truth it ratchets against.
-TEST_P(FidelityEnvelope, ExactIsBitIdenticalUnderBothSchedulers)
-{
-    const GoldenCase &golden = GetParam();
-    std::string committed =
-        readFileOrEmpty(goldenFixturePath(MNPU_GOLDEN_DIR, golden.name));
-    ASSERT_FALSE(committed.empty())
-        << "missing golden fixture for " << golden.name;
-
-    for (SchedulerKind sched :
-         {SchedulerKind::Cycle, SchedulerKind::Event}) {
-        SweepCheckpointRecord actual =
-            runGoldenCase(golden, sched, {}, FidelityKind::Exact);
-        EXPECT_EQ(committed, goldenFixtureText(actual))
-            << "exact fidelity diverged from the committed fixture for "
-            << golden.name << " under the " << toString(sched)
-            << " scheduler";
-    }
-}
-
 // Fast must stay inside the committed per-mix error envelope: the
 // relative deviation of global cycles and every core's local cycles
 // against the committed exact fixture is bounded by the envelope row.
-// Both schedulers are held to the same bound — the fast model is
-// event-complete, so scheduler choice must not change its answer
-// beyond the envelope either.
+// (Exact itself is pinned to the fixture by GoldenTrace, which runs
+// with fidelity Exact explicitly set.)
 TEST_P(FidelityEnvelope, FastStaysWithinCommittedEnvelope)
 {
     const GoldenCase &golden = GetParam();
@@ -158,36 +130,24 @@ TEST_P(FidelityEnvelope, FastStaysWithinCommittedEnvelope)
         << " was measured against a different exact fixture; "
            "regenerate with `update_golden --envelope --update-golden`";
 
-    for (SchedulerKind sched :
-         {SchedulerKind::Cycle, SchedulerKind::Event}) {
-        SweepCheckpointRecord fast =
-            runGoldenCase(golden, sched, {}, FidelityKind::Fast);
-        double dev = relDev(exact.globalCycles, fast.globalCycles);
-        ASSERT_EQ(exact.localCycles.size(), fast.localCycles.size());
-        for (std::size_t i = 0; i < exact.localCycles.size(); ++i) {
-            double d = relDev(exact.localCycles[i], fast.localCycles[i]);
-            dev = dev > d ? dev : d;
-        }
-        EXPECT_LE(dev, entry.bound + 1e-9)
-            << "fast fidelity drifted outside the committed envelope "
-            << "for " << golden.name << " under the " << toString(sched)
-            << " scheduler (measured " << dev << ", bound "
-            << entry.bound << "); if the fast model intentionally "
-            << "changed, regenerate with `update_golden --envelope "
-            << "--update-golden` and review the deviation diff";
+    SweepCheckpointRecord fast =
+        runGoldenCase(golden, {}, FidelityKind::Fast);
+    double dev = relDev(exact.globalCycles, fast.globalCycles);
+    ASSERT_EQ(exact.localCycles.size(), fast.localCycles.size());
+    for (std::size_t i = 0; i < exact.localCycles.size(); ++i) {
+        double d = relDev(exact.localCycles[i], fast.localCycles[i]);
+        dev = dev > d ? dev : d;
     }
+    EXPECT_LE(dev, entry.bound + 1e-9)
+        << "fast fidelity drifted outside the committed envelope for "
+        << golden.name << " (measured " << dev << ", bound "
+        << entry.bound << "); if the fast model intentionally changed, "
+        << "regenerate with `update_golden --envelope --update-golden` "
+        << "and review the deviation diff";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCases, FidelityEnvelope, testing::ValuesIn(goldenCases()),
-    [](const testing::TestParamInfo<GoldenCase> &info) {
-        std::string name = info.param.name;
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllCases, FidelityEnvelope,
+                         testing::ValuesIn(goldenCases()));
 
 TEST(FidelityEnvelopeFile, CoversExactlyTheGoldenCases)
 {

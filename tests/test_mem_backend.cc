@@ -368,10 +368,10 @@ TEST_P(MemBackendConformance, SchedulerEquivalence)
         for (std::size_t i = 0; i < ref_deliveries.size(); ++i) {
             EXPECT_EQ(ref_deliveries[i], event_deliveries[i])
                 << "seed " << seed << ": delivery " << i
-                << " diverged between schedulers";
+                << " diverged between per-cycle and event-driven replay";
         }
         EXPECT_EQ(stateBytes(*reference), stateBytes(*gated))
-            << "final serialized state diverged between schedulers";
+            << "final serialized state diverged between the replays";
     }
 }
 
@@ -458,55 +458,54 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// SharingPolicy: the deprecated imperative setters must stay exact
-// forwarders of the declarative policy.
+// SharingPolicy: one declarative write path for channel layout and
+// bandwidth caps.
 // ---------------------------------------------------------------------
 
-TEST(SharingPolicyTest, DeprecatedSettersMatchApplyPolicy)
+TEST(SharingPolicyTest, DefaultPolicyResetsToFreshState)
 {
-    DramSystem imperative(DramTiming::hbm2(), 4, 2, kQueueDepth);
-    DramSystem declarative(DramTiming::hbm2(), 4, 2, kQueueDepth);
+    DramSystem fresh(DramTiming::hbm2(), 4, 2, kQueueDepth);
+    DramSystem reused(DramTiming::hbm2(), 4, 2, kQueueDepth);
 
-    imperative.partitionByCounts({1, 3});
-    imperative.setBandwidthShares({1, 7});
+    SharingPolicy split;
+    split.channels = SharingPolicy::Channels::ByCounts;
+    split.channelCounts = {1, 3};
+    split.bandwidthShares = std::vector<std::uint32_t>{1, 7};
+    reused.applyPolicy(split);
+    StateWriter partitioned, untouched;
+    reused.saveState(partitioned);
+    fresh.saveState(untouched);
+    EXPECT_NE(partitioned.bytes(), untouched.bytes());
 
-    SharingPolicy policy;
-    policy.channels = SharingPolicy::Channels::ByCounts;
-    policy.channelCounts = {1, 3};
-    policy.bandwidthShares = std::vector<std::uint32_t>{1, 7};
-    declarative.applyPolicy(policy);
-
-    StateWriter a, b;
-    imperative.saveState(a);
-    declarative.saveState(b);
-    EXPECT_EQ(a.bytes(), b.bytes());
-
-    // shareAllChannels + cap removal == the default policy with an
-    // engaged-empty shares vector.
-    imperative.shareAllChannels();
-    imperative.setBandwidthShares({});
+    // ShareAll (the default) plus an engaged-empty shares vector undoes
+    // both the split and the caps.
     SharingPolicy reset;
     reset.bandwidthShares = std::vector<std::uint32_t>{};
-    declarative.applyPolicy(reset);
-    StateWriter c, d;
-    imperative.saveState(c);
-    declarative.saveState(d);
-    EXPECT_EQ(c.bytes(), d.bytes());
+    reused.applyPolicy(reset);
+    StateWriter a, b;
+    reused.saveState(a);
+    fresh.saveState(b);
+    EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(SharingPolicyTest, KeepLeavesChannelLayoutUntouched)
 {
     DramSystem a(DramTiming::hbm2(), 4, 2, kQueueDepth);
     DramSystem b(DramTiming::hbm2(), 4, 2, kQueueDepth);
-    a.partitionByCounts({2, 2});
-    b.partitionByCounts({2, 2});
-    // Keep + shares must equal the deprecated setter's behavior of
-    // changing caps without resetting partitions.
+    // One policy setting layout and caps together must equal a layout
+    // followed by a Keep policy that only changes the caps.
+    SharingPolicy both;
+    both.channels = SharingPolicy::Channels::ByCounts;
+    both.channelCounts = {2, 2};
+    both.bandwidthShares = std::vector<std::uint32_t>{3, 1};
+    a.applyPolicy(both);
+    SharingPolicy layout = both;
+    layout.bandwidthShares.reset();
+    b.applyPolicy(layout);
     SharingPolicy shares_only;
     shares_only.channels = SharingPolicy::Channels::Keep;
     shares_only.bandwidthShares = std::vector<std::uint32_t>{3, 1};
-    a.applyPolicy(shares_only);
-    b.setBandwidthShares({3, 1});
+    b.applyPolicy(shares_only);
     StateWriter sa, sb;
     a.saveState(sa);
     b.saveState(sb);
@@ -612,7 +611,7 @@ TEST(TieredBackendTest, RoutesByRegionAndSumsCounters)
 
 // ---------------------------------------------------------------------
 // System-level plumbing: default resolution, kind names, and the
-// deprecated dram() forwarder's unwrapping.
+// fabric in front of the backend.
 // ---------------------------------------------------------------------
 
 TEST(MemBackendSystemTest, DefaultSystemResolvesToDram)
@@ -628,11 +627,10 @@ TEST(MemBackendSystemTest, DefaultSystemResolvesToDram)
     MultiCoreSystem system(config, std::move(bindings));
     EXPECT_EQ(system.backendKind(), MemBackendKind::Dram);
     EXPECT_STREQ(system.memory().kindName(), "dram");
-    // The deprecated forwarder still reaches the concrete DramSystem.
-    EXPECT_EQ(&system.dram(), &system.memory());
+    EXPECT_NE(dynamic_cast<const DramSystem *>(&system.memory()), nullptr);
 }
 
-TEST(MemBackendSystemTest, DramForwarderUnwrapsTheFabric)
+TEST(MemBackendSystemTest, FabricWrapsTheDramBackend)
 {
     SystemConfig config;
     config.mem.backend = MemBackendKind::Dram;
@@ -646,8 +644,8 @@ TEST(MemBackendSystemTest, DramForwarderUnwrapsTheFabric)
     EXPECT_STREQ(system.memory().kindName(), "dram"); // XBar forwards
     const auto *xbar = dynamic_cast<const XBar *>(&system.memory());
     ASSERT_NE(xbar, nullptr);
-    EXPECT_EQ(&system.dram(),
-              dynamic_cast<const DramSystem *>(&xbar->downstream()));
+    EXPECT_NE(dynamic_cast<const DramSystem *>(&xbar->downstream()),
+              nullptr);
 }
 
 TEST(MemBackendSystemTest, PcmSystemRunsEndToEnd)

@@ -257,8 +257,7 @@ tempPath(const std::string &name)
 
 /** A small, fast dual-core system shared by several tests. */
 SimResult
-runDualMix(const ObservabilityConfig &obs,
-           SchedulerKind sched = SchedulerKind::Event)
+runDualMix(const ObservabilityConfig &obs)
 {
     // Pinned to the DRAM backend: the schema spot-checks below name
     // dram.ch* metric groups, which a MNPU_MEM_BACKEND process default
@@ -274,7 +273,6 @@ runDualMix(const ObservabilityConfig &obs,
     SystemConfig config;
     config.level = SharingLevel::ShareDWT;
     config.mem = context.mem();
-    config.scheduler = sched;
     config.obs = obs;
     return context.runMix(config, {"ncf", "dlrm"}).raw;
 }
@@ -521,56 +519,43 @@ TEST(TraceExport, LayersLevelSuppressesTilesAndRequests)
 }
 
 // ---------------------------------------------------------------------
-// Passivity: observability fully on is byte-identical to off, under
-// both schedulers, on committed golden cases. This is the API
-// contract that lets obs fields stay out of the sweep checkpoint key.
+// Passivity: observability fully on is byte-identical to off on
+// committed golden cases. This is the API contract that lets obs
+// fields stay out of the sweep checkpoint key.
 // ---------------------------------------------------------------------
 
-class ObservabilityPassivity
-    : public testing::TestWithParam<std::tuple<const char *, SchedulerKind>>
+class ObservabilityPassivity : public testing::TestWithParam<GoldenCase>
 {
 };
 
 TEST_P(ObservabilityPassivity, FullyEnabledRunIsBitIdentical)
 {
-    const auto &[case_name, sched] = GetParam();
-    const GoldenCase &golden = goldenCase(case_name);
+    const GoldenCase &golden = GetParam();
 
     ObservabilityConfig obs;
     // The path must be unique per parameter instance: ctest runs the
-    // cycle and event variants of one case as concurrent processes,
-    // and a shared path would race their atomic rename-into-place.
-    std::string stem = std::string("mnpu_obs_pass_") + case_name + "_" +
-                       toString(sched);
+    // cases as concurrent processes, and a shared path would race
+    // their atomic rename-into-place.
+    std::string stem = "mnpu_obs_pass_" + golden.name;
     obs.traceOutPath = tempPath(stem + ".json");
     obs.metricsOutPath = tempPath(stem + ".csv");
     obs.traceLevel = TraceLevel::Requests; // maximum instrumentation
 
-    SweepCheckpointRecord off = runGoldenCase(golden, sched);
-    SweepCheckpointRecord on = runGoldenCase(golden, sched, obs);
+    SweepCheckpointRecord off = runGoldenCase(golden);
+    SweepCheckpointRecord on = runGoldenCase(golden, obs);
     std::filesystem::remove(obs.traceOutPath);
     std::filesystem::remove(obs.metricsOutPath);
 
     EXPECT_EQ(describeGoldenDiff(off, on), "")
-        << "observability perturbed the simulation (" << case_name
-        << ", " << toString(sched) << ")";
+        << "observability perturbed the simulation (" << golden.name
+        << ")";
     EXPECT_EQ(goldenFixtureText(off), goldenFixtureText(on));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     GoldenCases, ObservabilityPassivity,
-    testing::Combine(testing::Values("hbm2-dual-res-ncf-dwt",
-                                     "ddr4-dual-ds2-gpt2-static"),
-                     testing::Values(SchedulerKind::Cycle,
-                                     SchedulerKind::Event)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param);
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name + "_" + toString(std::get<1>(info.param));
-    });
+    testing::Values(goldenCase("hbm2-dual-res-ncf-dwt"),
+                    goldenCase("ddr4-dual-ds2-gpt2-static")));
 
 // ---------------------------------------------------------------------
 // Config plumbing: checkpoint keys and environment fallbacks.

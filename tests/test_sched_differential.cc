@@ -1,22 +1,22 @@
 /**
  * @file
- * Differential scheduler tests: the event-driven cycle-skipping
- * scheduler must be bit-identical to the per-cycle scheduler on every
- * golden mix — same cycle counts, same per-core telemetry, same DRAM
- * energy and row stats, and the very same DRAM command stream (FNV-1a
- * hash over every ACT/PRE/RD/WR/REF with its cycle, collected by the
- * full-level protocol checkers). The event scheduler is only allowed
- * to differ in loopIterations, and only downward: it must visit no
- * more cycles than the per-cycle loop.
+ * Differential stepping tests: the production run loop (gated, event
+ * driven, cycle skipping) must be bit-identical to the per-cycle
+ * reference (RunBudget::perCycleReference: tick every component at
+ * every global cycle) on every golden mix — same cycle counts, same
+ * per-core telemetry, same DRAM energy and row stats, and the very
+ * same DRAM command stream (FNV-1a hash over every ACT/PRE/RD/WR/REF
+ * with its cycle, collected by the full-level protocol checkers). The
+ * production loop may differ only in loopIterations, and only
+ * downward: it must visit strictly fewer cycles than the reference.
  *
  * The fault-injection drills then repeat the integrity containment
- * matrix under the event scheduler: every --inject site must be
- * detected (or time out) exactly as it does under the cycle scheduler,
- * because an armed injector perturbs timing in ways the sharp event
- * bounds cannot predict (the system falls back to ungated stepping).
+ * matrix of test_integrity.cc on the production loop: every --inject
+ * site must be detected (or time out), because an armed injector
+ * perturbs timing in ways the sharp event bounds cannot predict (the
+ * system falls back to ungated stepping).
  */
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,7 +40,7 @@ namespace
  * One shared context per DRAM protocol: the golden cases only differ
  * on the memory side by protocol, so sharing a context caches each
  * model's trace and Ideal baseline once across all cases and both
- * schedulers.
+ * steppings.
  */
 ExperimentContext &
 contextFor(const std::string &protocol)
@@ -62,12 +62,11 @@ struct DirectRun
     SimResult result;
     std::uint64_t streamHash = 0;
     std::uint64_t commandsChecked = 0;
-    SchedulerKind scheduler = SchedulerKind::Cycle;
 };
 
-/** Run one golden case directly (full checks) under @p sched. */
+/** Run one golden case directly (full checks), per cycle or not. */
 DirectRun
-runDirect(const GoldenCase &golden, SchedulerKind sched)
+runDirect(const GoldenCase &golden, bool per_cycle_reference)
 {
     ExperimentContext &context = contextFor(golden.protocol);
     SystemConfig config;
@@ -75,7 +74,6 @@ runDirect(const GoldenCase &golden, SchedulerKind sched)
     config.mem = context.mem();
     config.dramBandwidthShares = golden.dramBandwidthShares;
     config.checkLevel = CheckLevel::Full;
-    config.scheduler = sched;
 
     std::vector<CoreBinding> bindings;
     bindings.reserve(golden.models.size());
@@ -83,22 +81,40 @@ runDirect(const GoldenCase &golden, SchedulerKind sched)
         bindings.push_back({context.trace(model), 0, 1});
 
     MultiCoreSystem system(config, std::move(bindings));
+    RunBudget budget;
+    budget.perCycleReference = per_cycle_reference;
     DirectRun run;
-    run.scheduler = system.scheduler();
-    run.result = system.run();
+    run.result = system.run(budget);
     run.streamHash = system.memory().protocolStreamHash();
     run.commandsChecked = system.memory().protocolCommandsChecked();
     return run;
 }
 
-void
-expectIdentical(const DirectRun &cycle, const DirectRun &event)
+/** @p snapshot without sched.loop_iterations, the one metric that
+ *  depends on which cycles the loop visits. */
+TelemetrySnapshot
+withoutLoopIterations(TelemetrySnapshot snapshot)
 {
-    EXPECT_EQ(cycle.result.globalCycles, event.result.globalCycles);
-    ASSERT_EQ(cycle.result.cores.size(), event.result.cores.size());
-    for (std::size_t c = 0; c < cycle.result.cores.size(); ++c) {
-        const CoreResult &a = cycle.result.cores[c];
-        const CoreResult &b = event.result.cores[c];
+    std::erase_if(snapshot.metrics, [](const TelemetrySnapshot::Metric &m) {
+        return m.name == "sched.loop_iterations";
+    });
+    return snapshot;
+}
+
+class SchedDifferential : public testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(SchedDifferential, EventLoopMatchesPerCycleReference)
+{
+    const DirectRun ref = runDirect(GetParam(), true);
+    const DirectRun run = runDirect(GetParam(), false);
+
+    EXPECT_EQ(ref.result.globalCycles, run.result.globalCycles);
+    ASSERT_EQ(ref.result.cores.size(), run.result.cores.size());
+    for (std::size_t c = 0; c < ref.result.cores.size(); ++c) {
+        const CoreResult &a = ref.result.cores[c];
+        const CoreResult &b = run.result.cores[c];
         EXPECT_EQ(a.localCycles, b.localCycles) << "core " << c;
         EXPECT_EQ(a.finishedAtGlobal, b.finishedAtGlobal) << "core " << c;
         EXPECT_EQ(a.peUtilization, b.peUtilization) << "core " << c;
@@ -109,84 +125,40 @@ expectIdentical(const DirectRun &cycle, const DirectRun &event)
         EXPECT_EQ(a.walks, b.walks) << "core " << c;
         EXPECT_EQ(a.layerFinishLocal, b.layerFinishLocal) << "core " << c;
     }
-    EXPECT_EQ(cycle.result.dramEnergyPj, event.result.dramEnergyPj);
-    EXPECT_EQ(cycle.result.dramRowHits, event.result.dramRowHits);
-    EXPECT_EQ(cycle.result.dramRowMisses, event.result.dramRowMisses);
+    EXPECT_EQ(ref.result.dramEnergyPj, run.result.dramEnergyPj);
+    EXPECT_EQ(ref.result.dramRowHits, run.result.dramRowHits);
+    EXPECT_EQ(ref.result.dramRowMisses, run.result.dramRowMisses);
 
-    // The strongest claim: both schedulers issued the exact same DRAM
-    // command stream at the exact same cycles.
-    EXPECT_GT(cycle.commandsChecked, 0u);
-    EXPECT_EQ(cycle.commandsChecked, event.commandsChecked);
-    EXPECT_EQ(cycle.streamHash, event.streamHash);
-
-    // The only permitted difference — and only in one direction.
-    EXPECT_LE(event.result.loopIterations, cycle.result.loopIterations);
-}
-
-class SchedDifferential : public testing::TestWithParam<GoldenCase>
-{
-};
-
-TEST_P(SchedDifferential, EventMatchesCycleBitExactly)
-{
-    const GoldenCase &golden = GetParam();
-    DirectRun cycle = runDirect(golden, SchedulerKind::Cycle);
-    DirectRun event = runDirect(golden, SchedulerKind::Event);
-    ASSERT_EQ(cycle.scheduler, SchedulerKind::Cycle);
-    ASSERT_EQ(event.scheduler, SchedulerKind::Event);
-    expectIdentical(cycle, event);
-    // The event scheduler must actually skip on these mixes, not just
-    // tie — otherwise it is dead weight.
-    EXPECT_LT(event.result.loopIterations, cycle.result.loopIterations);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllGoldenCases, SchedDifferential, testing::ValuesIn(goldenCases()),
-    [](const testing::TestParamInfo<GoldenCase> &info) {
-        std::string name = info.param.name;
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
-    });
-
-// --- scheduler selection plumbing ---
-
-TEST(SchedulerKindTest, ParseAndToStringRoundTrip)
-{
-    const auto &setting = schedulerSetting();
-    EXPECT_EQ(setting.parse("cycle"), SchedulerKind::Cycle);
-    EXPECT_EQ(setting.parse("event"), SchedulerKind::Event);
-    EXPECT_STREQ(toString(SchedulerKind::Cycle), "cycle");
-    EXPECT_STREQ(toString(SchedulerKind::Event), "event");
-    EXPECT_THROW(setting.parse("eager"), FatalError);
-    EXPECT_THROW(setting.parse(""), FatalError);
-}
-
-TEST(SchedulerKindTest, EffectiveKindPrecedence)
-{
-    auto &setting = schedulerSetting();
-    setting.clearDefault();
-    // Explicit config wins over everything.
-    EXPECT_EQ(setting.effective(SchedulerKind::Cycle), SchedulerKind::Cycle);
-    // Then the process default (--sched).
-    setting.setDefault(SchedulerKind::Cycle);
-    EXPECT_EQ(setting.effective(std::nullopt), SchedulerKind::Cycle);
-    EXPECT_EQ(setting.effective(SchedulerKind::Event), SchedulerKind::Event);
-    setting.clearDefault();
-    // Then MNPU_SCHED, then Event. The env branch only runs when CI's
-    // scheduler matrix sets the variable; the unset fallback is pinned
-    // here.
-    const char *env = std::getenv("MNPU_SCHED");
-    if (env == nullptr || *env == '\0') {
-        EXPECT_EQ(setting.effective(std::nullopt), SchedulerKind::Event);
-    } else {
-        EXPECT_EQ(setting.effective(std::nullopt), setting.parse(env));
+    // Every other registered counter and gauge, component stats
+    // included, must agree too.
+    const TelemetrySnapshot ref_telemetry =
+        withoutLoopIterations(ref.result.telemetry);
+    const TelemetrySnapshot run_telemetry =
+        withoutLoopIterations(run.result.telemetry);
+    ASSERT_EQ(ref_telemetry.metrics.size(), run_telemetry.metrics.size());
+    ASSERT_GT(ref_telemetry.metrics.size(), ref.result.cores.size());
+    for (std::size_t i = 0; i < ref_telemetry.metrics.size(); ++i) {
+        EXPECT_EQ(ref_telemetry.metrics[i], run_telemetry.metrics[i])
+            << ref_telemetry.metrics[i].name;
     }
+    EXPECT_TRUE(ref_telemetry.series == run_telemetry.series);
+
+    // The strongest claim: both steppings issued the exact same DRAM
+    // command stream at the exact same cycles.
+    EXPECT_GT(ref.commandsChecked, 0u);
+    EXPECT_EQ(ref.commandsChecked, run.commandsChecked);
+    EXPECT_EQ(ref.streamHash, run.streamHash);
+
+    // The reference visits every cycle; the production loop must
+    // actually skip on these mixes, not just tie.
+    EXPECT_EQ(ref.result.loopIterations, ref.result.globalCycles + 1);
+    EXPECT_LT(run.result.loopIterations, ref.result.loopIterations);
 }
 
-// --- fault drills under the event scheduler ---
+INSTANTIATE_TEST_SUITE_P(AllGoldenCases, SchedDifferential,
+                         testing::ValuesIn(goldenCases()));
+
+// --- fault drills on the production loop ---
 
 ArchConfig
 drillArch()
@@ -226,9 +198,8 @@ drillNetwork(std::uint32_t index)
 }
 
 /**
- * Run a 2-job sweep under the event scheduler with job 0 carrying the
- * fault and job 1 clean, mirroring the cycle-scheduler containment
- * matrix in test_integrity.cc.
+ * Run a 2-job sweep with job 0 carrying the fault and job 1 clean,
+ * mirroring the containment matrix in test_integrity.cc.
  */
 std::vector<SweepRecord>
 eventContainmentSweep(const std::string &inject_spec, Cycle job_max_cycles)
@@ -241,7 +212,6 @@ eventContainmentSweep(const std::string &inject_spec, Cycle job_max_cycles)
     for (SweepJob &job : jobs) {
         job.config.level = SharingLevel::ShareDWT;
         job.config.checkLevel = CheckLevel::Full;
-        job.config.scheduler = SchedulerKind::Event;
         job.models = {"dnet0", "dnet1"};
     }
     jobs[0].config.faultPlan = parseFaultPlan(inject_spec);
@@ -292,21 +262,20 @@ TEST(EventFaultDrillTest, StalledCoreTimesOutUnderTheWatchdog)
 TEST(EventFaultDrillTest, DelayedResponseCompletesIdenticallyToCycle)
 {
     // dram-delay is the one fault the run survives; the perturbed
-    // timeline must still be scheduler-independent (the injector
-    // disables event gating, so both modes replay the same faultful
-    // history cycle for cycle).
+    // timeline must still match the per-cycle reference (the injector
+    // disables event gating, so both steppings replay the same
+    // faultful history cycle for cycle).
     ExperimentContext context(drillArch(), drillMem());
     context.registerNetwork(drillNetwork(0));
 
     SimResult results[2];
-    const SchedulerKind kinds[2] = {SchedulerKind::Cycle,
-                                    SchedulerKind::Event};
     for (int i = 0; i < 2; ++i) {
         SystemConfig config;
         config.checkLevel = CheckLevel::Full;
-        config.scheduler = kinds[i];
         config.faultPlan = parseFaultPlan("dram-delay:40:5000");
-        results[i] = context.runMix(config, {"dnet0"}).raw;
+        RunBudget budget;
+        budget.perCycleReference = i == 0;
+        results[i] = context.runMix(config, {"dnet0"}, budget).raw;
     }
     EXPECT_EQ(results[0].globalCycles, results[1].globalCycles);
     ASSERT_EQ(results[0].cores.size(), results[1].cores.size());

@@ -4,7 +4,7 @@
  * precedence rule (config > flag > env > built-in) checked for every
  * setting from one table, the env policy (empty = unset, malformed =
  * FatalError naming the variable), and the shared flag parser through
- * the mnpusim and bench flag tables.
+ * the mnpusim, `mnpusim --serve` and bench flag tables.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "../bench/bench_common.hh"
 #include "analysis/process_pool.hh"
 #include "common/settings.hh"
+#include "serving/serving_cli.hh"
 #include "sim/cli.hh"
 
 namespace mnpu
@@ -125,8 +126,6 @@ settingRows()
     return {
         row("--check", checkLevelSetting(), true, "off", "full", "cheap",
             "paranoid"),
-        row("--sched", schedulerSetting(), true, "cycle", "event", "cycle",
-            "eager"),
         row("--fidelity", fidelitySetting(), true, "fast", "exact", "fast",
             "approx"),
         row("--mem-backend", memBackendSetting(), true, "hbm2", "tiered",
@@ -163,6 +162,13 @@ TEST(SettingsTest, CountParserIsStrict)
     EXPECT_EQ(parseCount("0", /*allow_zero=*/true), 0u);
     EXPECT_EQ(parseCount("12"), 12u);
     EXPECT_EQ(parseCount("4294967295"), 4294967295u);
+    // The 64-bit form: same grammar, full range, overflow rejected.
+    for (const char *bad : {"-1", "abc", "4x", "0", "18446744073709551616",
+                            "99999999999999999999"})
+        EXPECT_THROW(parseCount64(bad), FatalError) << bad;
+    EXPECT_EQ(parseCount64("18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseCount64("0", /*allow_zero=*/true), 0u);
     // The --jobs / MNPU_JOBS path goes through the same parser.
     for (const char *bad : {"-1", "abc", "4x", "0"})
         EXPECT_THROW(jobsSetting().parse(bad), FatalError) << bad;
@@ -288,8 +294,8 @@ TEST(SettingsTest, BadFlagValueNamesTheFlag)
 
 TEST(SettingsTest, MnpusimExitsTwoOnBadFlagValue)
 {
-    for (const char *arg : {"--jobs=-1", "--sched=eager", "--job-timeout=0",
-                            "--snapshot-every=5x"}) {
+    for (const char *arg : {"--jobs=-1", "--fidelity=approx",
+                            "--job-timeout=0", "--snapshot-every=5x"}) {
         Argv argv({"mnpusim", arg});
         ::testing::internal::CaptureStderr();
         EXPECT_EQ(mnpusimMain(argv.argc(), argv.argv()), 2) << arg;
@@ -297,6 +303,65 @@ TEST(SettingsTest, MnpusimExitsTwoOnBadFlagValue)
         const std::string flag(arg, std::string(arg).find('='));
         EXPECT_EQ(err.rfind(flag + ": ", 0), 0u) << err;
     }
+}
+
+TEST(SettingsTest, MnpusimRejectsUnknownFlag)
+{
+    Argv argv({"mnpusim", "--no-such-flag", "event", "a", "n", "d", "m",
+               "r", "misc"});
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(mnpusimMain(argv.argc(), argv.argv()), 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.rfind("--no-such-flag: unknown flag", 0), 0u) << err;
+}
+
+/** Runs `mnpusim --serve ARGS` capped at one cycle; returns its exit. */
+int
+serveExit(const std::vector<std::string> &args, std::string *err)
+{
+    std::vector<std::string> full = {"mnpusim", "--serve", "--requests",
+                                     "1", "--max-cycles", "1"};
+    full.insert(full.end(), args.begin(), args.end());
+    Argv argv(full);
+    ::testing::internal::CaptureStderr();
+    const int code = servingMain(argv.argc(), argv.argv());
+    *err = ::testing::internal::GetCapturedStderr();
+    return code;
+}
+
+TEST(SettingsTest, ServeExitsTwoOnBadCount)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--requests", "-1"},   {"--requests", "abc"},
+        {"--requests", "4x"},   {"--cores", "4294967297"},
+        {"--cores", "0"},       {"--max-batch=-1"},
+        {"--seed", "-1"},       {"--seed", "18446744073709551616"},
+        {"--ttft-slo", "1e6"},  {"--arrival", "poisson:-3"},
+        {"--level", "dwtx"},    {"--scale", "huge"},
+    };
+    for (const auto &args : bad) {
+        std::string err;
+        EXPECT_EQ(serveExit(args, &err), 2) << args[0] << ' ' << err;
+        const std::string flag = args[0].substr(0, args[0].find('='));
+        EXPECT_EQ(err.rfind(flag + ": ", 0), 0u) << err;
+    }
+    std::string err;
+    EXPECT_EQ(serveExit({"--no-such-flag", "event"}, &err), 2);
+    EXPECT_EQ(err.rfind("--no-such-flag: unknown serve flag", 0), 0u)
+        << err;
+}
+
+TEST(SettingsTest, ServeSeedTakesTheFull64BitRange)
+{
+    // A parsed command line reaches the simulation, which the one-cycle
+    // cap stops with a contained error (exit 3), not a usage error.
+    std::string err;
+    EXPECT_EQ(serveExit({"--seed", "18446744073709551615", "--cores",
+                         "1", "--prompt-tokens", "1", "--decode-tokens",
+                         "1"},
+                        &err),
+              3)
+        << err;
 }
 
 TEST(SettingsDeathTest, BenchExitsTwoOnBadFlagValue)
@@ -319,7 +384,7 @@ TEST(SettingsTest, CanonicalNamesRoundTripAndAliasesParse)
     EXPECT_EQ(memBackendSetting().parse("dram"), MemBackendKind::Dram);
     EXPECT_EQ(memBackendSetting().parse("PCM"), MemBackendKind::Pcm);
     EXPECT_STREQ(toString(MemBackendKind::Dram), "hbm2");
-    EXPECT_THROW(schedulerSetting().parse("Event"), FatalError);
+    EXPECT_THROW(fidelitySetting().parse("Fast"), FatalError);
     EXPECT_STREQ(toString(IsolationMode::Process), "process");
 }
 

@@ -3,12 +3,12 @@
  * Tests for durable in-flight snapshots (DESIGN.md §12): the
  * StateWriter/StateReader codec, the versioned+checksummed file
  * format with atomic persistence, and the correctness ratchet the
- * whole feature hangs on — for every committed golden mix under both
- * schedulers, snapshot-at-cycle-N + restore + run-to-completion must
+ * whole feature hangs on — for every committed golden mix,
+ * snapshot-at-cycle-N + restore + run-to-completion must
  * produce byte-identical checkpoint-v2 telemetry (and an identical
  * DRAM command-stream hash) versus the uninterrupted run.
  *
- * Also drilled here, mirroring ISSUE acceptance:
+ * Also drilled here:
  *  - snapshot writes are passive: a run that snapshots is
  *    bit-identical to one that does not;
  *  - a checksum-corrupted snapshot is rejected and the run falls
@@ -213,9 +213,8 @@ TEST(SnapshotFileTest, RejectsMissingCorruptAndUnknownVersion)
  * second phase continued from (0 = it started from scratch).
  */
 SweepCheckpointRecord
-runGoldenResumed(const GoldenCase &golden, SchedulerKind sched,
-                 FidelityKind fidelity, Cycle totalCycles,
-                 Cycle *resumedAt)
+runGoldenResumed(const GoldenCase &golden, FidelityKind fidelity,
+                 Cycle totalCycles, Cycle *resumedAt)
 {
     NpuMemConfig mem = NpuMemConfig::cloudNpu();
     // These resume runs are compared against runGoldenCase(), which
@@ -229,7 +228,6 @@ runGoldenResumed(const GoldenCase &golden, SchedulerKind sched,
     SystemConfig config;
     config.level = golden.level;
     config.dramBandwidthShares = golden.dramBandwidthShares;
-    config.scheduler = sched;
     config.fidelity = fidelity;
 
     const std::string path = tempPath("golden-" + golden.name + ".snap");
@@ -262,16 +260,14 @@ runGoldenResumed(const GoldenCase &golden, SchedulerKind sched,
     return checkpointRecordOf(golden.name, record);
 }
 
-void
-expectGoldenResumeEquivalence(SchedulerKind sched)
+TEST(SnapshotResumeTest, GoldenMixesBitIdentical)
 {
     for (const GoldenCase &golden : goldenCases()) {
-        const SweepCheckpointRecord clean = runGoldenCase(golden, sched);
+        const SweepCheckpointRecord clean = runGoldenCase(golden);
         ASSERT_GT(clean.globalCycles, 16u) << golden.name;
         Cycle resumed_at = 0;
         const SweepCheckpointRecord resumed = runGoldenResumed(
-            golden, sched, FidelityKind::Exact, clean.globalCycles,
-            &resumed_at);
+            golden, FidelityKind::Exact, clean.globalCycles, &resumed_at);
         EXPECT_GT(resumed_at, 0u)
             << golden.name << ": resumed run restarted from zero";
         EXPECT_LT(resumed_at, clean.globalCycles) << golden.name;
@@ -283,28 +279,17 @@ expectGoldenResumeEquivalence(SchedulerKind sched)
     }
 }
 
-TEST(SnapshotResumeTest, GoldenMixesBitIdenticalCycleScheduler)
-{
-    expectGoldenResumeEquivalence(SchedulerKind::Cycle);
-}
-
-TEST(SnapshotResumeTest, GoldenMixesBitIdenticalEventScheduler)
-{
-    expectGoldenResumeEquivalence(SchedulerKind::Event);
-}
-
 TEST(SnapshotResumeTest, FastFidelityResumeMatchesCleanFastRun)
 {
     // The analytic fast path serializes too: a resumed fast run must
     // agree bit-for-bit with the uninterrupted fast run (which the
     // fidelity envelope then ties to the exact model).
     const GoldenCase &golden = goldenCase("hbm2-dual-res-ncf-dwt");
-    const SweepCheckpointRecord clean = runGoldenCase(
-        golden, SchedulerKind::Cycle, {}, FidelityKind::Fast);
+    const SweepCheckpointRecord clean =
+        runGoldenCase(golden, {}, FidelityKind::Fast);
     ASSERT_GT(clean.globalCycles, 16u);
     const SweepCheckpointRecord resumed = runGoldenResumed(
-        golden, SchedulerKind::Cycle, FidelityKind::Fast,
-        clean.globalCycles, nullptr);
+        golden, FidelityKind::Fast, clean.globalCycles, nullptr);
     EXPECT_EQ(describeGoldenDiff(clean, resumed), "");
     EXPECT_EQ(goldenFixtureText(clean), goldenFixtureText(resumed));
 }
@@ -315,8 +300,7 @@ TEST(SnapshotResumeTest, SnapshotWritesArePassive)
     // be bit-identical to a run that never snapshots at all — the
     // cadence is durability policy, not simulated behavior.
     const GoldenCase &golden = goldenCase("ddr4-dual-sfrnn-dlrm-dw");
-    const SweepCheckpointRecord clean =
-        runGoldenCase(golden, SchedulerKind::Cycle);
+    const SweepCheckpointRecord clean = runGoldenCase(golden);
     ASSERT_GT(clean.globalCycles, 16u);
 
     NpuMemConfig mem = NpuMemConfig::cloudNpu();
@@ -329,7 +313,6 @@ TEST(SnapshotResumeTest, SnapshotWritesArePassive)
                               ModelScale::Mini);
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = SchedulerKind::Cycle;
     config.fidelity = FidelityKind::Exact;
 
     const std::string path = tempPath("passive.snap");
@@ -363,7 +346,6 @@ TEST(SnapshotResumeTest, DramCommandStreamHashSurvivesResume)
 
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = SchedulerKind::Cycle;
     config.fidelity = FidelityKind::Exact;
     config.mem = context.mem();
     config.checkLevel = CheckLevel::Full;
@@ -430,7 +412,6 @@ TEST(SnapshotResumeTest, SigkilledWorkerResumesNotFromZero)
 
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = SchedulerKind::Cycle;
     config.fidelity = FidelityKind::Exact;
     config.mem = context.mem();
 
@@ -497,8 +478,7 @@ TEST(SnapshotResumeTest, SigkilledWorkerResumesNotFromZero)
 TEST(SnapshotResumeTest, CorruptSnapshotFallsBackToScratchSameResult)
 {
     const GoldenCase &golden = goldenCase("hbm2-dual-yt-alex-d");
-    const SweepCheckpointRecord clean =
-        runGoldenCase(golden, SchedulerKind::Cycle);
+    const SweepCheckpointRecord clean = runGoldenCase(golden);
     ASSERT_GT(clean.globalCycles, 16u);
 
     NpuMemConfig mem = NpuMemConfig::cloudNpu();
@@ -511,7 +491,6 @@ TEST(SnapshotResumeTest, CorruptSnapshotFallsBackToScratchSameResult)
                               ModelScale::Mini);
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = SchedulerKind::Cycle;
     config.fidelity = FidelityKind::Exact;
 
     const std::string path = tempPath("corrupt-resume.snap");
@@ -539,8 +518,8 @@ TEST(SnapshotResumeTest, CorruptSnapshotFallsBackToScratchSameResult)
 TEST(SnapshotResumeTest, ConfigFingerprintMismatchIsRejected)
 {
     // A snapshot taken under one configuration must not restore into
-    // a system built under another (here: the other scheduler) — the
-    // loader rejects it and the caller runs from scratch.
+    // a system built under another (here: another sharing level) —
+    // the loader rejects it and the caller runs from scratch.
     const GoldenCase &golden = goldenCase("hbm2-dual-res-ncf-dwt");
     NpuMemConfig mem = NpuMemConfig::cloudNpu();
     // These resume runs are compared against runGoldenCase(), which
@@ -556,8 +535,8 @@ TEST(SnapshotResumeTest, ConfigFingerprintMismatchIsRejected)
     config.fidelity = FidelityKind::Exact;
     config.mem = context.mem();
 
-    auto build = [&](SchedulerKind sched) {
-        config.scheduler = sched;
+    auto build = [&](SharingLevel level) {
+        config.level = level;
         std::vector<CoreBinding> bindings;
         for (const std::string &model : golden.models) {
             CoreBinding binding;
@@ -568,7 +547,7 @@ TEST(SnapshotResumeTest, ConfigFingerprintMismatchIsRejected)
                                                  std::move(bindings));
     };
 
-    auto donor = build(SchedulerKind::Cycle);
+    auto donor = build(SharingLevel::ShareDWT);
     const std::string path = tempPath("fingerprint.snap");
     RunBudget interrupted;
     interrupted.maxGlobalCycles = 4096;
@@ -577,10 +556,10 @@ TEST(SnapshotResumeTest, ConfigFingerprintMismatchIsRejected)
     EXPECT_THROW(donor->run(interrupted), SimulationError);
     ASSERT_TRUE(std::filesystem::exists(path));
 
-    auto mismatched = build(SchedulerKind::Event);
+    auto mismatched = build(SharingLevel::ShareDW);
     EXPECT_FALSE(mismatched->tryRestoreSnapshot(path));
     // And the same file still restores fine where it belongs.
-    auto matched = build(SchedulerKind::Cycle);
+    auto matched = build(SharingLevel::ShareDWT);
     EXPECT_TRUE(matched->tryRestoreSnapshot(path));
     std::remove(path.c_str());
 }

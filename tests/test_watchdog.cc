@@ -75,8 +75,8 @@ TEST(WatchdogSamplerTest, EitherTriggerAloneSuffices)
 }
 
 /** Raised-before-run stop token: the very first watchdog sample (the
- *  loop's first iteration) must throw Cancelled — in event mode too,
- *  where per-component gating and long skips are in play. */
+ *  loop's first iteration) must throw Cancelled, even with the event
+ *  loop's per-component gating and long skips in play. */
 TEST(WatchdogCancellationTest, RaisedTokenCancelsEventRunImmediately)
 {
     const GoldenCase &golden = goldenCase("hbm2-dual-res-ncf-dwt");
@@ -87,7 +87,6 @@ TEST(WatchdogCancellationTest, RaisedTokenCancelsEventRunImmediately)
 
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = SchedulerKind::Event;
 
     std::atomic<bool> stop{true};
     RunBudget budget;
@@ -101,7 +100,7 @@ TEST(WatchdogCancellationTest, RaisedTokenCancelsEventRunImmediately)
 }
 
 /** Mid-run cancellation: raise the token from another thread while an
- *  event-scheduled mix is simulating and require a prompt Cancelled
+ *  event-stepped mix is simulating and require a prompt Cancelled
  *  exit. The 60 s assertion bound is deliberately enormous next to the
  *  ~1 ms promptness the cycleSpan re-fire actually delivers — it only
  *  exists to fail instead of hang if sampling regresses entirely. */
@@ -115,7 +114,6 @@ TEST(WatchdogCancellationTest, MidRunCancellationExitsPromptly)
 
     SystemConfig config;
     config.level = golden.level;
-    config.scheduler = SchedulerKind::Event;
 
     std::atomic<bool> stop{false};
     RunBudget budget;
