@@ -72,6 +72,9 @@ struct ServingGoldenCase
     ServingConfig serving;
 };
 
+/** gtest printer for serving cases; same scheme as GoldenCase's. */
+void PrintTo(const ServingGoldenCase &golden, std::ostream *os);
+
 /** The committed serving fixture set (stable order, stable names). */
 const std::vector<ServingGoldenCase> &servingGoldenCases();
 

@@ -444,7 +444,7 @@ NpuCore::nextEventCycle(Cycle now) const
 // single closed-form step instead of per-transaction round trips:
 //
 //   tx           = bus-aligned transaction count over the phase's ranges
-//   xlat         = Mmu::fastTranslate over the distinct pages touched
+//   xlat         = Mmu::fastTranslate over the page runs touched
 //   start        = max(now + xlat.latency, dmaFree)       [issue serializes]
 //   issue        = toGlobal(ceil(tx / dmaIssueWidth))     [port width]
 //   done         = max(DramSystem::fastTransfer(tx, start), start + issue)
@@ -488,7 +488,11 @@ NpuCore::fastMemoryPhase(const std::vector<AccessRange> &ranges, MemOp op,
     const Addr bus = trace_.arch().busBytes;
     const std::uint64_t page_bytes = mmu_.pageBytes();
     std::uint64_t tx = 0;
-    std::vector<Addr> pages;
+    // The phase's pages as runs, in touch order; a range starting on
+    // the page the previous one ended on skips it (consecutive-page
+    // dedupe), and a run continuing the previous one merges into it.
+    std::vector<Mmu::PageRun> &runs = fastRuns_;
+    runs.clear();
     Addr last_page = kAddrInvalid;
     for (const AccessRange &range : ranges) {
         if (range.bytes == 0)
@@ -496,20 +500,23 @@ NpuCore::fastMemoryPhase(const std::vector<AccessRange> &ranges, MemOp op,
         const Addr lo = alignDown(range.vaddr, bus);
         const Addr hi = alignUp(range.vaddr + range.bytes, bus);
         tx += (hi - lo) / bus;
-        const Addr first = lo / page_bytes;
+        Addr first = lo / page_bytes;
         const Addr last = (hi - 1) / page_bytes;
-        for (Addr p = first; p <= last; ++p) {
-            if (p == last_page)
-                continue; // consecutive-page dedupe across ranges
-            last_page = p;
-            pages.push_back(p * page_bytes);
-        }
+        if (first == last_page)
+            ++first;
+        if (first > last)
+            continue;
+        if (!runs.empty() && first == last_page + 1)
+            runs.back().pages += last - first + 1;
+        else
+            runs.push_back(Mmu::PageRun{first, last - first + 1});
+        last_page = last;
     }
     if (tx == 0)
         return now;
 
     Mmu::FastXlatResult xlat =
-        mmu_.fastTranslate(config_.id, config_.asid, pages, now);
+        mmu_.fastTranslate(config_.id, config_.asid, runs, now);
     const Cycle start =
         std::max(now + xlat.latency, fastDmaFreeGlobal_);
     const std::uint64_t width =

@@ -285,6 +285,8 @@ class NpuCore
      * phase) carried across phases.
      */
     Cycle fastDmaFreeGlobal_ = 0;
+    /** fastMemoryPhase's page-run scratch, reused across phases. */
+    std::vector<Mmu::PageRun> fastRuns_;
 
     /**
      * Blocked-episode flags: the retry counters count transitions into

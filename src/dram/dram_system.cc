@@ -166,8 +166,12 @@ DramSystem::tryEnqueue(const DramRequest &request, Cycle now)
         if (bucket.enabled) {
             auto cost = static_cast<double>(timing_.transactionBytes());
             double avail = available(bucket, now);
-            if (avail < cost)
-                return false; // anchored bucket: a refusal mutates nothing
+            if (avail < cost) {
+                // Anchored bucket: a refusal leaves the balance alone;
+                // it only arms the refill-crossing wakeup.
+                bucket.refused = true;
+                return false;
+            }
             bucket.tokens = avail - cost;
             bucket.lastRefill = now;
             // Re-observe after the spend so an upward re-crossing is
@@ -365,8 +369,10 @@ DramSystem::tick(Cycle now)
         if (!bucket.enabled)
             continue;
         bool below = available(bucket, now) < cost;
-        if (bucket.wasBelowCost && !below)
+        if (bucket.wasBelowCost && !below) {
             retrySignal_ = true;
+            bucket.refused = false;
+        }
         bucket.wasBelowCost = below;
     }
 }
@@ -385,16 +391,19 @@ DramSystem::nextEventCycle(Cycle now) const
     Cycle next = kCycleNever;
     for (const auto &entry : delayed_)
         next = std::min(next, std::max(entry.at, now + 1));
-    // A starved token bucket gets a closed-form refill-crossing
-    // candidate: the first cycle the anchored balance reaches one
-    // transaction's cost. The anchor only moves on successful spends
-    // (which happen at visited cycles under any stepping), so the
-    // crossing is a pure function of state every stepping shares; the
-    // ±1 adjustment loops pin T against float rounding using the exact
-    // admission expression.
+    // A starved token bucket that refused an admission (a client now
+    // waits on it) gets a closed-form refill-crossing candidate: the
+    // first cycle the anchored balance reaches one transaction's cost.
+    // A bucket nobody waits on needs none: its crossing would only
+    // raise a retry signal that no client consumes. The anchor only
+    // moves on successful spends (which happen at visited cycles under
+    // any stepping), so the crossing is a pure function of state every
+    // stepping shares; the ±1 adjustment loops pin T against float
+    // rounding using the exact admission expression.
     auto cost = static_cast<double>(timing_.transactionBytes());
     for (const auto &bucket : buckets_) {
-        if (!bucket.enabled || available(bucket, now) >= cost)
+        if (!bucket.enabled || !bucket.refused ||
+            available(bucket, now) >= cost)
             continue;
         if (bucket.ratePerCycle <= 0 || bucket.burstCap < cost) {
             next = std::min(next, now + 1); // can never refill past cost
@@ -680,6 +689,7 @@ DramSystem::loadState(StateReader &in)
         bucket.burstCap = in.d();
         bucket.lastRefill = in.u64();
         bucket.wasBelowCost = in.b();
+        bucket.refused = enabled;
     }
     delayed_.resize(in.u64());
     for (DelayedCompletion &entry : delayed_) {

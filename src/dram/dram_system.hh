@@ -337,6 +337,15 @@ class DramSystem : public MemoryBackend
          * crossing raises the retry signal.
          */
         bool wasBelowCost = false;
+        /**
+         * Event mode: an admission was refused for lack of tokens and
+         * no upward re-crossing has raised the retry signal since — a
+         * client waits on the refill. Only then does the bucket put
+         * its refill crossing into nextEventCycle(): the fast path's
+         * analytic spends never queue a request behind it. Not
+         * serialized; a restore re-arms it (conservative).
+         */
+        bool refused = false;
     };
 
     /** Spendable tokens at @p now; the exact admission expression. */

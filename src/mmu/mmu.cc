@@ -151,34 +151,40 @@ Mmu::requestTranslation(CoreId core, Asid asid, Addr vaddr,
 }
 
 Mmu::FastXlatResult
-Mmu::fastTranslate(CoreId core, Asid asid,
-                   const std::vector<Addr> &page_vaddrs, Cycle now)
+Mmu::fastTranslate(CoreId core, Asid asid, std::span<const PageRun> runs,
+                   Cycle now)
 {
     mnpu_assert(core < config_.numCores, "translation from unknown core");
     FastXlatResult result;
     result.latency = config_.tlbLatency;
-    result.pages = page_vaddrs.size();
+    const std::uint64_t page_bytes = allocator_.pageBytes();
+    Tlb &tlb = tlbFor(core);
     std::uint64_t walk_steps = 0;
-    for (Addr vaddr : page_vaddrs) {
-        translations_.inc();
-        // First-touch frame allocation must happen in every fidelity
-        // (the allocator's interleaving is shared simulator state).
-        allocator_.translate(asid, vaddr);
-        if (!config_.translationEnabled)
-            continue;
-        const Addr vpn = allocator_.vpn(vaddr);
-        if (tlbFor(core).lookup(asid, vpn)) {
-            tlbHits_.inc();
-            ++tlbHitsPerCore_[core];
-            continue;
+    for (const PageRun &run : runs) {
+        result.pages += run.pages;
+        const Addr end = run.firstVpn + run.pages;
+        for (Addr vpn = run.firstVpn; vpn < end; ++vpn) {
+            const Addr vaddr = vpn * page_bytes;
+            // First-touch frame allocation must happen in every
+            // fidelity (the allocator's interleaving is shared
+            // simulator state).
+            allocator_.translate(asid, vaddr);
+            if (!config_.translationEnabled || tlb.lookup(asid, vpn))
+                continue;
+            ++result.misses;
+            walk_steps += pageTable_.walkDepth(asid, vaddr);
+            tlb.insert(asid, vpn);
         }
-        tlbMisses_.inc();
-        ++tlbMissesPerCore_[core];
-        ++result.misses;
-        walks_.inc();
-        ++walksPerCore_[core];
-        walk_steps += pageTable_.walkPath(asid, vaddr).size();
-        tlbFor(core).insert(asid, vpn);
+    }
+    translations_.inc(result.pages);
+    if (config_.translationEnabled) {
+        const std::uint64_t hits = result.pages - result.misses;
+        tlbHits_.inc(hits);
+        tlbHitsPerCore_[core] += hits;
+        tlbMisses_.inc(result.misses);
+        tlbMissesPerCore_[core] += result.misses;
+        walks_.inc(result.misses);
+        walksPerCore_[core] += result.misses;
     }
     if (result.misses > 0) {
         if (core < walkSteps_.size())
@@ -428,7 +434,8 @@ Mmu::startWalks(Cycle now)
             walker.core = request.core;
             walker.asid = request.asid;
             walker.vpn = request.vpn;
-            walker.path = pageTable_.walkPath(request.asid, request.vaddr);
+            walker.pathLength =
+                pageTable_.walk(request.asid, request.vaddr, walker.path);
             walker.level = 0;
             walker.startedAt = now;
             walkQueueDelay_.sample(
@@ -492,7 +499,7 @@ Mmu::onDramCompletion(std::uint64_t tag, Cycle at)
                 "DRAM completion for a walker that is not waiting");
     poked_ = true;
     ++walker.level;
-    if (walker.level >= walker.path.size()) {
+    if (walker.level >= walker.pathLength) {
         walker.state = WalkerState::Finished;
         walker.finishedAt = at;
     } else {
@@ -594,7 +601,9 @@ Mmu::saveState(StateWriter &out) const
         out.u32(walker.core);
         out.u32(walker.asid);
         out.u64(walker.vpn);
-        out.u64Vec(walker.path);
+        out.u64(walker.pathLength);
+        for (std::uint32_t i = 0; i < walker.pathLength; ++i)
+            out.u64(walker.path[i]);
         out.u32(walker.level);
         out.u64(walker.startedAt);
         out.u64(walker.finishedAt);
@@ -676,10 +685,14 @@ Mmu::loadState(StateReader &in)
         walker.core = in.u32();
         walker.asid = in.u32();
         walker.vpn = in.u64();
-        walker.path = in.u64Vec();
+        const std::vector<Addr> path = in.u64Vec();
+        if (path.size() > walker.path.size())
+            throw SnapshotError("walker path deeper than the radix");
+        std::copy(path.begin(), path.end(), walker.path.begin());
+        walker.pathLength = static_cast<std::uint32_t>(path.size());
         walker.level = in.u32();
         if (walker.state != WalkerState::Idle &&
-            walker.level >= walker.path.size() &&
+            walker.level >= walker.pathLength &&
             walker.state != WalkerState::Finished) {
             throw SnapshotError("walker level cursor out of range");
         }

@@ -22,6 +22,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +93,13 @@ class Mmu
     bool requestTranslation(CoreId core, Asid asid, Addr vaddr,
                             std::uint64_t tag, Cycle now);
 
+    /** Consecutive virtual pages [firstVpn, firstVpn + pages). */
+    struct PageRun
+    {
+        Addr firstVpn = 0;
+        std::uint64_t pages = 0;
+    };
+
     /** Outcome of one fast-fidelity batched translation. */
     struct FastXlatResult
     {
@@ -101,21 +109,22 @@ class Mmu
     };
 
     /**
-     * Fast-fidelity analytic translation of the distinct pages one
-     * tile phase touches. The TLB probes and inserts are real — shared-
-     * TLB capacity and inter-core conflict effects persist across
-     * fidelities — and every miss still derives its radix walk path
-     * (page-table nodes allocate exactly as in exact mode) and credits
-     * its steps as DRAM walk traffic. Only the timing is closed-form:
-     * misses drain through this core's average walker share instead of
-     * being queued, each walk costing levels serial DRAM reads.
-     * Counters count per distinct page here; exact mode counts per
-     * transaction (before MSHR coalescing), so the fast counters are
-     * smaller by the per-page transaction fan-in.
+     * Fast-fidelity analytic translation of the pages one tile phase
+     * touches, given as runs in touch order. Each page is translated,
+     * probed in the TLB, walked on a miss and inserted, in that order
+     * (page-table nodes interleave with data frames exactly as in
+     * exact mode). The TLB probes and inserts are real — shared-TLB
+     * capacity and inter-core conflict effects persist across
+     * fidelities — and every miss credits its walk steps as DRAM walk
+     * traffic. Only the timing is closed-form: misses drain through
+     * this core's average walker share instead of being queued, each
+     * walk costing levels serial DRAM reads. Counters count per page
+     * here; exact mode counts per transaction (before MSHR
+     * coalescing), so the fast counters are smaller by the per-page
+     * transaction fan-in.
      */
     FastXlatResult fastTranslate(CoreId core, Asid asid,
-                                 const std::vector<Addr> &page_vaddrs,
-                                 Cycle now);
+                                 std::span<const PageRun> runs, Cycle now);
 
     /** Page size of the backing allocator (fast-path page chunking). */
     std::uint64_t pageBytes() const { return allocator_.pageBytes(); }
@@ -295,7 +304,7 @@ class Mmu
         CoreId core;
         Asid asid;
         Addr vpn;
-        Addr vaddr; //!< representative address for walkPath()
+        Addr vaddr; //!< representative address for the walk
         Cycle enqueuedAt;
     };
 
@@ -307,7 +316,8 @@ class Mmu
         CoreId core = kCoreInvalid;
         Asid asid = 0;
         Addr vpn = 0;
-        std::vector<Addr> path;
+        PageTableModel::Path path{};
+        std::uint32_t pathLength = 0; //!< valid entries of path
         std::uint32_t level = 0;
         Cycle startedAt = 0;
         Cycle finishedAt = 0;

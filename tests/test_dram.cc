@@ -493,6 +493,33 @@ TEST(DramSystemTest, BandwidthSharesThrottleEnqueue)
     EXPECT_GT(rate, 0.5);
 }
 
+TEST(DramSystemTest, StarvedBucketWakesTheLoopOnlyForARefusal)
+{
+    // A fast-fidelity transfer drains core 0's bucket without queueing
+    // anything: no client waits on the refill, so the event bound must
+    // not wake the loop at the crossing. A refused admission arms it.
+    DramSystem dram(DramTiming::hbm2(), 4, 2, 64);
+    dram.applyPolicy(sharesOnly({1, 1}));
+    dram.setEventDriven(true);
+    dram.fastTransfer(0, 1000, false, 0);
+    dram.tick(1);
+    EXPECT_EQ(dram.nextEventCycle(1), kCycleNever);
+
+    DramRequest request;
+    request.op = MemOp::Read;
+    request.core = 0;
+    ASSERT_FALSE(dram.tryEnqueue(request, 2)); // bucket still empty
+    const Cycle crossing = dram.nextEventCycle(2);
+    ASSERT_NE(crossing, kCycleNever);
+    ASSERT_GT(crossing, Cycle{2});
+    dram.tick(crossing - 1);
+    EXPECT_FALSE(dram.consumeRetrySignal());
+    ASSERT_FALSE(dram.tryEnqueue(request, crossing - 1));
+    dram.tick(crossing);
+    EXPECT_TRUE(dram.consumeRetrySignal());
+    EXPECT_TRUE(dram.tryEnqueue(request, crossing));
+}
+
 TEST(DramSystemTest, EmptySharesDisableThrottle)
 {
     DramSystem dram(DramTiming::hbm2(), 4, 2, 64);
