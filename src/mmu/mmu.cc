@@ -173,7 +173,7 @@ Mmu::fastTranslate(CoreId core, Asid asid, std::span<const PageRun> runs,
                 continue;
             ++result.misses;
             walk_steps += pageTable_.walkDepth(asid, vaddr);
-            tlb.insert(asid, vpn);
+            tlb.fillAfterMiss(asid, vpn);
         }
     }
     translations_.inc(result.pages);

@@ -40,23 +40,38 @@ Tlb::lookup(Asid asid, Addr vpn)
 void
 Tlb::insert(Asid asid, Addr vpn)
 {
-    Entry *base = &table_[setIndex(vpn) * ways_];
-    Entry *victim = nullptr;
+    Entry *set = &table_[setIndex(vpn) * ways_];
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &entry = base[w];
+        Entry &entry = set[w];
         if (entry.valid && entry.asid == asid && entry.vpn == vpn) {
             entry.lastUse = ++useClock_; // already present; refresh
             return;
         }
-        if (!entry.valid) {
-            if (victim == nullptr || victim->valid)
-                victim = &entry;
-        } else if (victim == nullptr ||
-                   (victim->valid && entry.lastUse < victim->lastUse)) {
-            victim = &entry;
-        }
     }
-    mnpu_assert(victim != nullptr);
+    fill(set, asid, vpn);
+}
+
+void
+Tlb::fillAfterMiss(Asid asid, Addr vpn)
+{
+    fill(&table_[setIndex(vpn) * ways_], asid, vpn);
+}
+
+void
+Tlb::fill(Entry *set, Asid asid, Addr vpn)
+{
+    // Victim: the first invalid way, else the least recently used one
+    // (valid entries have distinct lastUse stamps).
+    Entry *victim = set;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        Entry &entry = set[w];
+        if (!entry.valid) {
+            victim = &entry;
+            break;
+        }
+        if (entry.lastUse < victim->lastUse)
+            victim = &entry;
+    }
     if (victim->valid)
         evictions_.inc();
     victim->valid = true;

@@ -37,6 +37,14 @@ class Tlb
     /** Install (asid, vpn), evicting the set's LRU entry if needed. */
     void insert(Asid asid, Addr vpn);
 
+    /**
+     * insert() for an entry known to be absent — the caller's lookup()
+     * of (asid, vpn) just missed and nothing filled the set since — so
+     * it skips the already-present probe and only picks the victim.
+     * Same victim, LRU clock and counters as insert().
+     */
+    void fillAfterMiss(Asid asid, Addr vpn);
+
     /** Probe without touching LRU state or stats. */
     bool contains(Asid asid, Addr vpn) const;
 
@@ -66,6 +74,8 @@ class Tlb
         Addr vpn = 0;
         std::uint64_t lastUse = 0;
     };
+
+    void fill(Entry *set, Asid asid, Addr vpn);
 
     std::size_t setIndex(Addr vpn) const
     {

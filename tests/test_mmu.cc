@@ -9,6 +9,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/logging.hh"
 #include "dram/dram_system.hh"
@@ -196,6 +197,43 @@ TEST(TlbTest, InsertIsIdempotent)
     for (Addr vpn = 0; vpn < 8; ++vpn)
         present += tlb.contains(0, vpn * tlb.numSets() + 3) ? 1 : 0;
     EXPECT_EQ(present, 1);
+}
+
+TEST(TlbTest, FillAfterMissMatchesInsert)
+{
+    // The fast path's victim-only fill must leave the table, the LRU
+    // clock and the counters exactly as insert() would, whatever the
+    // set count (odd counts index by modulo) and however sets fill up
+    // after a flush leaves holes.
+    for (auto [entries, ways] : {std::pair{64u, 8u}, {24u, 8u}, {16u, 1u},
+                                 {8u, 8u}}) {
+        Tlb inserted(entries, ways, "t");
+        Tlb filled(entries, ways, "t");
+        std::uint64_t lcg = 0x9e3779b97f4a7c15ULL + entries + ways;
+        for (int step = 0; step < 4000; ++step) {
+            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+            Asid asid = static_cast<Asid>((lcg >> 60) % 3);
+            Addr vpn = (lcg >> 33) % (entries * 3);
+            if (step % 997 == 996) {
+                inserted.flushAsid(asid);
+                filled.flushAsid(asid);
+                continue;
+            }
+            bool hit = inserted.lookup(asid, vpn);
+            ASSERT_EQ(hit, filled.lookup(asid, vpn));
+            if (!hit) {
+                inserted.insert(asid, vpn);
+                filled.fillAfterMiss(asid, vpn);
+            }
+            StateWriter a;
+            StateWriter b;
+            inserted.saveState(a);
+            filled.saveState(b);
+            ASSERT_EQ(a.bytes(), b.bytes())
+                << entries << "x" << ways << " step " << step;
+        }
+        EXPECT_GT(filled.evictions(), 0u);
+    }
 }
 
 TEST(TlbTest, FlushAsidRemovesOnlyThatAsid)
