@@ -141,11 +141,6 @@ runChild(std::FILE *scratch, std::size_t index, std::uint32_t attempt,
     // that must kill, not set a flag the child never checks.
     ::signal(SIGINT, SIG_DFL);
     ::signal(SIGTERM, SIG_DFL);
-    // Drop the inherited checkpoint-lock descriptors: flock() follows
-    // the shared open file description, so keeping them would let an
-    // orphaned worker pin the campaign lock after a kill -9'd
-    // supervisor and block its own resume.
-    closeCheckpointLocksInForkedChild();
     applyWorkerLimits(options);
     const int fd = ::fileno(scratch);
     g_worker_heartbeat_fd.store(fd, std::memory_order_relaxed);

@@ -1,6 +1,5 @@
 #include "analysis/sweep_checkpoint.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -8,11 +7,10 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 
 #include <fcntl.h>
-#include <signal.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include "common/config.hh"
@@ -580,91 +578,73 @@ parseJsonLine(const std::string &line, SweepCheckpointRecord &record)
 namespace
 {
 
-// Live lock descriptors, so a forked worker can drop its inherited
-// copies (closeCheckpointLocksInForkedChild). Registration happens on
-// the thread that owns the writer — in process mode that is the
-// single supervisor thread, so the mutex is never mid-acquisition at
-// fork time.
-std::mutex g_lock_registry_mutex;
-std::vector<int> g_live_lock_fds;
+// Sidecars this process holds a record lock on: the kernel grants a
+// process's second lock on a file it already locks, so same-process
+// contention is caught here.
+std::mutex g_locked_paths_mutex;
+std::set<std::string> g_locked_paths;
 
 void
-registerLockFd(int fd)
+forgetLockedPath(const std::string &lock_path)
 {
-    std::lock_guard<std::mutex> guard(g_lock_registry_mutex);
-    g_live_lock_fds.push_back(fd);
-}
-
-void
-unregisterLockFd(int fd)
-{
-    std::lock_guard<std::mutex> guard(g_lock_registry_mutex);
-    g_live_lock_fds.erase(std::remove(g_live_lock_fds.begin(),
-                                      g_live_lock_fds.end(), fd),
-                          g_live_lock_fds.end());
+    std::lock_guard<std::mutex> guard(g_locked_paths_mutex);
+    g_locked_paths.erase(lock_path);
 }
 
 } // namespace
 
-void
-closeCheckpointLocksInForkedChild()
-{
-    std::lock_guard<std::mutex> guard(g_lock_registry_mutex);
-    for (int fd : g_live_lock_fds)
-        ::close(fd);
-    g_live_lock_fds.clear();
-}
-
 CheckpointLock::CheckpointLock(const std::string &checkpointPath)
     : lockPath_(checkpointPath + ".lock")
 {
-    fd_ = ::open(lockPath_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd_ < 0)
-        fatal("cannot create checkpoint lock '", lockPath_,
-              "': ", std::strerror(errno));
-    if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
-        // Read the holder's PID for the message; the flock itself is
-        // the authority, the PID is diagnosis. A PID that no longer
-        // responds to kill(pid, 0) while the flock is held means the
-        // lockfile content is stale but a live process (likely a
-        // descendant sharing the open file description) still owns it.
-        char buf[32] = {};
-        ssize_t got = ::pread(fd_, buf, sizeof(buf) - 1, 0);
-        long pid = got > 0 ? std::strtol(buf, nullptr, 10) : 0;
-        std::string holder = "unknown process";
-        if (pid > 0) {
-            bool alive = ::kill(static_cast<pid_t>(pid), 0) == 0 ||
-                         errno != ESRCH;
-            holder = detail::concat(
-                "pid ", pid,
-                alive ? " (alive)"
-                      : " (not running; lock held via an "
-                        "inherited descriptor)");
-        }
-        ::close(fd_);
-        fd_ = -1;
+    auto refuse = [&](const std::string &holder) {
         fatal("checkpoint '", checkpointPath,
-              "' is locked by another campaign (", holder,
-              " holds '", lockPath_,
+              "' is locked by another campaign (", holder, " holds '",
+              lockPath_,
               "'); refusing to interleave records — wait for it or "
               "point --checkpoint elsewhere");
+    };
+    {
+        std::lock_guard<std::mutex> guard(g_locked_paths_mutex);
+        if (!g_locked_paths.insert(lockPath_).second)
+            refuse("this process");
     }
-    // Record our PID for the next contender's error message. flock()
-    // dies with the process, so a kill -9 leaves only harmless stale
-    // content that the next holder overwrites.
+    fd_ = ::open(lockPath_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (fd_ < 0) {
+        const int error = errno;
+        forgetLockedPath(lockPath_);
+        fatal("cannot create checkpoint lock '", lockPath_,
+              "': ", std::strerror(error));
+    }
+    struct flock want = {};
+    want.l_type = F_WRLCK;
+    want.l_whence = SEEK_SET; // l_start = l_len = 0: the whole file
+    if (::fcntl(fd_, F_SETLK, &want) != 0) {
+        // This process holds no lock on the sidecar (the table above
+        // says so), so closing our descriptor releases nothing.
+        struct flock held = want;
+        std::string holder = "unknown process";
+        if (::fcntl(fd_, F_GETLK, &held) == 0 && held.l_type != F_UNLCK)
+            holder = detail::concat("pid ", held.l_pid);
+        ::close(fd_);
+        fd_ = -1;
+        forgetLockedPath(lockPath_);
+        refuse(holder);
+    }
+    // Record our PID for people looking at the sidecar; the record
+    // lock itself dies with the process, so a kill -9 leaves only
+    // stale content that the next holder overwrites.
     if (::ftruncate(fd_, 0) == 0) {
         std::string pid = std::to_string(::getpid());
         pid.push_back('\n');
         (void)!::pwrite(fd_, pid.data(), pid.size(), 0);
     }
-    registerLockFd(fd_);
 }
 
 CheckpointLock::~CheckpointLock()
 {
     if (fd_ >= 0) {
-        unregisterLockFd(fd_);
-        ::close(fd_); // releases the flock
+        ::close(fd_); // releases the record lock
+        forgetLockedPath(lockPath_);
     }
 }
 

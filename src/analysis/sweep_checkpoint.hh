@@ -119,22 +119,32 @@ bool parseJsonLine(const std::string &line, SweepCheckpointRecord &record);
 
 /**
  * Advisory single-writer lock for a checkpoint file (and each shard
- * of one): holds an exclusive non-blocking flock() on the sidecar
- * `<path>.lock`, whose content is the holder's PID. Two campaigns
- * appending to the same checkpoint would interleave records from
- * different job sets, so the second writer fails fast with a message
- * naming the holder — including whether that PID is still alive
- * (flock itself dies with its process, so a lockfile left behind by a
- * kill -9 is harmless: the flock is free and the stale PID content is
- * simply overwritten).
+ * of one): holds an exclusive POSIX record lock (fcntl F_SETLK) on the
+ * sidecar `<path>.lock`, whose content is the holder's PID. Two
+ * campaigns appending to the same checkpoint would interleave records
+ * from different job sets, so the second writer fails fast with a
+ * message naming the holder's PID.
+ *
+ * A record lock belongs to its process, not to an open file
+ * description: a forked worker never holds it, and a kill -9 releases
+ * it before a waitpid() on the dead supervisor returns, leaving only
+ * stale PID content that the next holder overwrites. (flock() followed
+ * the description, so a worker forked just before its supervisor was
+ * killed held the lock until the orphan got scheduled and closed its
+ * copy, and a resume started at once was refused.) Process ownership
+ * has two consequences: a second lock on the same path in the same
+ * process is refused by an in-process table, since the kernel would
+ * grant it; and the holding process must not open and close the
+ * sidecar elsewhere, since closing any descriptor of a file drops the
+ * process's record locks on it.
  */
 class CheckpointLock
 {
   public:
     /**
-     * Locks `<checkpointPath>.lock`; fatal() when another process
-     * holds it (reporting the holder PID and its liveness) or when
-     * the sidecar cannot be created.
+     * Locks `<checkpointPath>.lock`; fatal() when another process or
+     * another lock in this process holds it (reporting the holder)
+     * or when the sidecar cannot be created.
      */
     explicit CheckpointLock(const std::string &checkpointPath);
     ~CheckpointLock();
@@ -148,18 +158,6 @@ class CheckpointLock
     std::string lockPath_;
     int fd_ = -1;
 };
-
-/**
- * Release every live CheckpointLock descriptor in a forked worker
- * child. flock() locks belong to the *open file description*, which a
- * fork shares: a worker that inherits the supervisor's lock fd keeps
- * the flock alive after the supervisor dies (O_CLOEXEC is no help —
- * workers fork without exec), so a kill -9'd campaign would block its
- * own resume until the orphaned workers drain. The process-pool child
- * harness calls this immediately after fork; only the supervisor's
- * own descriptor then pins the lock, and it dies with the supervisor.
- */
-void closeCheckpointLocksInForkedChild();
 
 /**
  * Thread-safe appender: each append() writes one full line and
