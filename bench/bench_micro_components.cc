@@ -30,6 +30,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -87,6 +88,49 @@ BM_DramChannelStream(benchmark::State &state)
     state.counters["completed"] = static_cast<double>(completed);
 }
 BENCHMARK(BM_DramChannelStream);
+
+/** Eight interleaved sequential streams on one event-driven channel:
+ *  two of them write, and one request in 16 is a priority walk read
+ *  to a scattered address. The streams sit on different rows of
+ *  shared banks, so the queue holds hits and row conflicts on several
+ *  banks at once — the shape of a co-run's FR-FCFS queue. One
+ *  iteration = one admitted request. */
+void
+BM_DramChannelMixed(benchmark::State &state)
+{
+    DramSystem dram(DramTiming::hbm2(), 1, 4, 32);
+    dram.setEventDriven(true);
+    std::uint64_t completed = 0;
+    dram.setCallback([&](const DramRequest &, Cycle) { ++completed; });
+    std::array<Addr, 8> cursor{};
+    for (std::size_t k = 0; k < cursor.size(); ++k)
+        cursor[k] = k * ((Addr{3} << 20) + 4096);
+    std::uint64_t lcg = 1;
+    Cycle now = 0;
+    for (auto _ : state) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::size_t k = lcg >> 61;
+        DramRequest request;
+        request.core = static_cast<CoreId>(k % 4);
+        if ((lcg >> 40) % 16 == 0) {
+            request.paddr = (lcg >> 8) % (Addr{1} << 28) & ~Addr{63};
+            request.op = MemOp::Read;
+            request.priority = true;
+        } else {
+            request.paddr = cursor[k];
+            cursor[k] += 64;
+            request.op = k >= 6 ? MemOp::Write : MemOp::Read;
+        }
+        while (!dram.tryEnqueue(request, now)) {
+            dram.tick(now);
+            ++now;
+        }
+        dram.tick(now);
+        ++now;
+    }
+    state.counters["completed"] = static_cast<double>(completed);
+}
+BENCHMARK(BM_DramChannelMixed);
 
 void
 BM_TlbLookupHit(benchmark::State &state)

@@ -14,7 +14,6 @@ DramChannel::DramChannel(const DramTiming &timing,
     : timing_(timing),
       mapping_(mapping),
       queueDepth_(queue_depth),
-      minHitAge_(timing.ranks * timing.banksPerRank(), kAgeNever),
       banks_(timing.ranks * timing.banksPerRank()),
       ranks_(timing.ranks),
       stats_(name),
@@ -35,13 +34,14 @@ DramChannel::DramChannel(const DramTiming &timing,
         fatal("DRAM channel queue depth must be nonzero");
     qFlat_.reserve(queue_depth);
     qRow_.reserve(queue_depth);
-    qRank_.reserve(queue_depth);
     qPriority_.reserve(queue_depth);
     qWrite_.reserve(queue_depth);
     qAge_.reserve(queue_depth);
     qArrival_.reserve(queue_depth);
     qCausedActivate_.reserve(queue_depth);
     qRequest_.reserve(queue_depth);
+    for (std::uint32_t flat = 0; flat < banks_.size(); ++flat)
+        banks_[flat].rank = flat / timing_.banksPerRank();
     for (auto &rank : ranks_) {
         rank.actWindow.assign(4, 0);
         rank.refreshDueAt = timing_.tREFI;
@@ -68,69 +68,137 @@ DramChannel::enqueue(const DramRequest &request, Addr local_addr, Cycle now)
     DramCoord coord = mapping_.decode(local_addr);
     qFlat_.push_back(coord.flatBank(timing_));
     qRow_.push_back(coord.row);
-    qRank_.push_back(coord.rank);
     qPriority_.push_back(request.priority ? 1 : 0);
     qWrite_.push_back(request.op == MemOp::Write ? 1 : 0);
     qAge_.push_back(nextAge_++);
     qArrival_.push_back(now);
     qCausedActivate_.push_back(0);
     qRequest_.push_back(request);
+    qLink_.emplace_back();
     if (request.priority)
         ++priorityQueued_;
+    link(static_cast<std::uint32_t>(queueSize() - 1));
 }
 
 void
-DramChannel::removeAt(std::size_t i)
+DramChannel::link(std::uint32_t slot)
 {
-    std::size_t last = queueSize() - 1;
-    if (i != last) {
-        qFlat_[i] = qFlat_[last];
-        qRow_[i] = qRow_[last];
-        qRank_[i] = qRank_[last];
-        qPriority_[i] = qPriority_[last];
-        qWrite_[i] = qWrite_[last];
-        qAge_[i] = qAge_[last];
-        qArrival_[i] = qArrival_[last];
-        qCausedActivate_[i] = qCausedActivate_[last];
-        qRequest_[i] = std::move(qRequest_[last]);
+    // Append at the tail of the bank's list: callers link slots in
+    // increasing age, so each list stays oldest-first.
+    std::uint32_t flat = qFlat_[slot];
+    BankState &bank = banks_[flat];
+    qLink_[slot] = SlotLink{bank.tail, kNil};
+    if (bank.tail != kNil) {
+        qLink_[bank.tail].next = slot;
+    } else {
+        bank.head = slot;
+        bank.activePos = static_cast<std::uint32_t>(activeBanks_.size());
+        activeBanks_.push_back(flat);
+    }
+    bank.tail = slot;
+    if (isHit(slot))
+        ++(qWrite_[slot] != 0 ? bank.hitWrites : bank.hitReads);
+    if (qPriority_[slot] != 0)
+        ++bank.priority;
+}
+
+void
+DramChannel::unlink(std::uint32_t slot)
+{
+    BankState &bank = banks_[qFlat_[slot]];
+    const SlotLink link = qLink_[slot];
+    (link.prev != kNil ? qLink_[link.prev].next : bank.head) = link.next;
+    (link.next != kNil ? qLink_[link.next].prev : bank.tail) = link.prev;
+    if (isHit(slot))
+        --(qWrite_[slot] != 0 ? bank.hitWrites : bank.hitReads);
+    if (qPriority_[slot] != 0)
+        --bank.priority;
+    if (bank.head == kNil) {
+        std::uint32_t moved = activeBanks_.back();
+        activeBanks_[bank.activePos] = moved;
+        banks_[moved].activePos = bank.activePos;
+        activeBanks_.pop_back();
+        bank.activePos = kNil;
+    }
+}
+
+void
+DramChannel::removeAt(std::uint32_t slot)
+{
+    unlink(slot);
+    auto last = static_cast<std::uint32_t>(queueSize() - 1);
+    if (slot != last) {
+        qFlat_[slot] = qFlat_[last];
+        qRow_[slot] = qRow_[last];
+        qPriority_[slot] = qPriority_[last];
+        qWrite_[slot] = qWrite_[last];
+        qAge_[slot] = qAge_[last];
+        qArrival_[slot] = qArrival_[last];
+        qCausedActivate_[slot] = qCausedActivate_[last];
+        qRequest_[slot] = std::move(qRequest_[last]);
+        // The back slot moved: point its list neighbours at its new
+        // index.
+        BankState &bank = banks_[qFlat_[slot]];
+        const SlotLink link = qLink_[last];
+        qLink_[slot] = link;
+        (link.prev != kNil ? qLink_[link.prev].next : bank.head) = slot;
+        (link.next != kNil ? qLink_[link.next].prev : bank.tail) = slot;
     }
     qFlat_.pop_back();
     qRow_.pop_back();
-    qRank_.pop_back();
     qPriority_.pop_back();
     qWrite_.pop_back();
     qAge_.pop_back();
     qArrival_.pop_back();
     qCausedActivate_.pop_back();
     qRequest_.pop_back();
-}
-
-bool
-DramChannel::anyHitOnBank(std::uint32_t flat_bank, std::int64_t row) const
-{
-    for (std::size_t i = 0; i < queueSize(); ++i) {
-        if (qFlat_[i] == flat_bank &&
-            static_cast<std::int64_t>(qRow_[i]) == row) {
-            return true;
-        }
-    }
-    return false;
+    qLink_.pop_back();
 }
 
 void
-DramChannel::computeMinHitAges() const
+DramChannel::countHits(std::uint32_t flat_bank)
 {
-    // For each bank with an open row, the age of the oldest queued hit
-    // on that row. One O(queue) prepass replaces the old per-entry
-    // FIFO-prefix probe (O(queue^2) worst case): under swap-with-back
-    // storage "an older request" means a smaller age, not a smaller
-    // index.
-    std::fill(minHitAge_.begin(), minHitAge_.end(), kAgeNever);
-    for (std::size_t i = 0; i < queueSize(); ++i) {
-        std::uint32_t flat = qFlat_[i];
-        const BankState &bank = banks_[flat];
-        if (bank.openRow == static_cast<std::int64_t>(qRow_[i]))
-            minHitAge_[flat] = std::min(minHitAge_[flat], qAge_[i]);
+    BankState &bank = banks_[flat_bank];
+    bank.hitReads = 0;
+    bank.hitWrites = 0;
+    for (std::uint32_t slot = bank.head; slot != kNil;
+         slot = qLink_[slot].next) {
+        if (isHit(slot))
+            ++(qWrite_[slot] != 0 ? bank.hitWrites : bank.hitReads);
+    }
+}
+
+void
+DramChannel::closeRow(std::uint32_t flat_bank)
+{
+    BankState &bank = banks_[flat_bank];
+    bank.openRow = -1;
+    bank.hitReads = 0;
+    bank.hitWrites = 0;
+}
+
+void
+DramChannel::rebuildIndex()
+{
+    // Link every slot in age order, whatever order the slot array is
+    // in, so the lists come out oldest-first.
+    for (BankState &bank : banks_) {
+        bank.head = bank.tail = kNil;
+        bank.hitReads = bank.hitWrites = bank.priority = 0;
+        bank.activePos = kNil;
+    }
+    activeBanks_.clear();
+    std::vector<std::uint32_t> order(queueSize());
+    for (std::uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return qAge_[a] < qAge_[b];
+              });
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        if (i > 0 && qAge_[order[i]] == qAge_[order[i - 1]])
+            throw SnapshotError("DRAM queue entries share an age");
+        link(order[i]);
     }
 }
 
@@ -175,7 +243,7 @@ DramChannel::maybeRefresh(Cycle now)
         traceCommand("REF", now);
         for (std::uint32_t b = 0; b < timing_.banksPerRank(); ++b) {
             BankState &bank = banks_[base + b];
-            bank.openRow = -1;
+            closeRow(base + b);
             bank.nextActivate =
                 std::max(bank.nextActivate, now + timing_.tRFC);
         }
@@ -206,60 +274,97 @@ DramChannel::refreshFireCycle(std::uint32_t rank_index) const
 bool
 DramChannel::tryIssueColumn(Cycle now, Cycle *bound)
 {
-    // Selection sweep: FR-FCFS wants the oldest ready row hit, walk
-    // (priority) requests first. Under swap-with-back storage the
-    // sweep tracks the min-age eligible entry per class instead of
-    // returning the first hit in index order — identical choice, one
-    // branch-light pass over the dense arrays. With @p bound set, each
-    // rejected row-hit entry contributes the earliest cycle its column
-    // could issue — the same candidate nextEventCycle() derives — so a
-    // failed scan doubles as the event-bound scan.
-    std::size_t best = kNoEntry;
+    // Every column command waits on the channel's bus gate, and the
+    // read<->write switch gate never opens before the same-direction
+    // one: while it is closed only the bound needs the banks.
+    if (now < nextColumnSame_ && !bound)
+        return false;
+
+    // FR-FCFS wants the oldest ready row hit, walk (priority) requests
+    // first: the min of (priority first, then age) over the eligible
+    // hits. Eligibility is decided per bank and direction — the bank,
+    // its rank and the bus gate are shared by all of a bank's reads
+    // (writes) — so a blocked bank contributes its bound from its hit
+    // counts, and an eligible one walks its age-ordered list only to
+    // its first eligible hit (to its first eligible priority hit when
+    // it holds priority entries). With @p bound set, each rejected hit
+    // contributes the earliest cycle its column could issue — the same
+    // candidate nextEventCycle() derives — so a failed pass doubles as
+    // the event-bound pass.
+    const Cycle read_gate = columnGate(false);
+    const Cycle write_gate = columnGate(true);
+    std::uint32_t best = kNil;
     bool best_priority = false;
     std::uint64_t best_age = kAgeNever;
-    const std::size_t n = queueSize();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t flat = qFlat_[i];
+    for (std::uint32_t flat : activeBanks_) {
         const BankState &bank = banks_[flat];
-        if (bank.openRow != static_cast<std::int64_t>(qRow_[i]))
+        if (bank.hitReads + bank.hitWrites == 0)
             continue;
-        const RankState &rank = ranks_[qRank_[i]];
-        bool is_write = qWrite_[i] != 0;
-        Cycle gate =
-            is_write == lastOpWasWrite_ ? nextColumnSame_ : nextColumnSwitch_;
-        if (now < rank.refreshingUntil || now >= rank.refreshDueAt ||
-            now < bank.nextColumn || now < gate) {
-            if (bound) {
+        const RankState &rank = ranks_[bank.rank];
+        bool bank_ok = now >= rank.refreshingUntil &&
+                       now < rank.refreshDueAt && now >= bank.nextColumn;
+        bool read_ok = bank_ok && now >= read_gate;
+        bool write_ok = bank_ok && now >= write_gate;
+        if (bound) {
+            auto reject = [&](Cycle gate) {
                 // An overdue refresh (now >= refreshDueAt) blocks new
                 // columns so the rank can drain; its exact fire cycle
                 // is the candidate (the old max of already-elapsed
                 // gates degenerated to now + 1 and made the event
                 // scheduler crawl through the drain).
                 Cycle at = now >= rank.refreshDueAt
-                               ? refreshFireCycle(qRank_[i])
+                               ? refreshFireCycle(bank.rank)
                                : std::max({bank.nextColumn, gate,
                                            rank.refreshingUntil});
                 *bound = std::min(*bound, std::max(at, now + 1));
-            }
-            continue;
+            };
+            if (bank.hitReads != 0 && !read_ok)
+                reject(read_gate);
+            if (bank.hitWrites != 0 && !write_ok)
+                reject(write_gate);
         }
-        bool priority = qPriority_[i] != 0;
-        if (best == kNoEntry || (priority && !best_priority) ||
-            (priority == best_priority && qAge_[i] < best_age)) {
-            best = i;
+        if (!(bank.hitReads != 0 && read_ok) &&
+            !(bank.hitWrites != 0 && write_ok))
+            continue;
+        if (best_priority && bank.priority == 0)
+            continue; // no entry here can beat a priority pick
+        const auto open_row = static_cast<std::uint64_t>(bank.openRow);
+        std::uint32_t pick = kNil;
+        for (std::uint32_t slot = bank.head; slot != kNil;
+             slot = qLink_[slot].next) {
+            if (qRow_[slot] != open_row ||
+                !(qWrite_[slot] != 0 ? write_ok : read_ok))
+                continue;
+            if (qPriority_[slot] != 0) {
+                pick = slot;
+                break;
+            }
+            if (pick == kNil && !best_priority) {
+                pick = slot;
+                if (bank.priority == 0)
+                    break;
+            }
+        }
+        if (pick == kNil)
+            continue;
+        bool priority = qPriority_[pick] != 0;
+        if (best == kNil || (priority && !best_priority) ||
+            (priority == best_priority && qAge_[pick] < best_age)) {
+            best = pick;
             best_priority = priority;
-            best_age = qAge_[i];
+            best_age = qAge_[pick];
         }
     }
-    if (best == kNoEntry)
+    if (best == kNil)
         return false;
 
     // Issue the column command for the selected entry.
     std::uint32_t flat = qFlat_[best];
     BankState &bank = banks_[flat];
     bool is_write = qWrite_[best] != 0;
-    if (checker_)
-        checker_->onColumn(qRank_[best], flat, qRow_[best], is_write, now);
+    if (checker_) {
+        checker_->onColumn(bank.rank, flat, qRow_[best], is_write, now);
+    }
     traceCommand(is_write ? "WR" : "RD", now);
     std::uint32_t burst = timing_.burstCycles();
     Cycle bus_gap = std::max<Cycle>(timing_.tCCD, burst);
@@ -287,17 +392,16 @@ DramChannel::tryIssueColumn(Cycle now, Cycle *bound)
         rowHits_.inc();
     queueLatency_.sample(static_cast<double>(now - qArrival_[best]));
     completionsPush(Completion{done, qRequest_[best]});
-    auto issued_row = static_cast<std::int64_t>(qRow_[best]);
     if (qPriority_[best] != 0)
         --priorityQueued_;
     removeAt(best);
 
     if (timing_.rowPolicy == RowPolicy::Closed &&
-        !anyHitOnBank(flat, issued_row)) {
+        bank.hitReads + bank.hitWrites == 0) {
         // Auto-precharge once no queued request wants this row.
         if (checker_)
             checker_->onAutoPrecharge(flat, bank.nextPrecharge);
-        bank.openRow = -1;
+        closeRow(flat);
         bank.nextActivate = std::max(bank.nextActivate,
                                      bank.nextPrecharge + timing_.tRP);
     }
@@ -307,69 +411,74 @@ DramChannel::tryIssueColumn(Cycle now, Cycle *bound)
 bool
 DramChannel::tryIssueRowCommand(Cycle now, Cycle *bound)
 {
-    // Same selection-sweep shape as tryIssueColumn: pick the min-age
-    // (priority-first) entry whose precharge or activate could issue
-    // now; with @p bound set, rejected entries contribute the earliest
-    // cycle their row command could issue (mirroring nextEventCycle).
-    computeMinHitAges();
-    std::size_t best = kNoEntry;
+    // Same (priority, age) selection as tryIssueColumn, over the
+    // entries whose precharge or activate could issue now. All of a
+    // bank's candidates share one gate, so each bank is decided once:
+    // an open bank is precharge-eligible only when its oldest entry
+    // misses the open row (a precharge must not close a row an older
+    // request still wants; that request contributes its own column
+    // candidate), and its candidates are the misses ahead of its first
+    // hit. With @p bound set, a blocked bank contributes the earliest
+    // cycle its row command could issue (mirroring nextEventCycle).
+    std::uint32_t best = kNil;
     bool best_priority = false;
     std::uint64_t best_age = kAgeNever;
     bool best_is_precharge = false;
-    const std::size_t n = queueSize();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t flat = qFlat_[i];
+    for (std::uint32_t flat : activeBanks_) {
         const BankState &bank = banks_[flat];
-        const RankState &rank = ranks_[qRank_[i]];
-        auto row = static_cast<std::int64_t>(qRow_[i]);
-        if (bank.openRow == row)
-            continue; // hit; handled by the column pass
+        const RankState &rank = ranks_[bank.rank];
+        bool open = bank.openRow != -1;
+        if (open && isHit(bank.head))
+            continue;
         bool rank_ok =
             now >= rank.refreshingUntil && now < rank.refreshDueAt;
-        bool is_precharge;
-        if (bank.openRow != -1) {
-            // Don't close a row an older request still wants; that
-            // older entry contributes its own column candidate.
-            if (minHitAge_[flat] < qAge_[i])
-                continue;
-            if (!rank_ok || now < bank.nextPrecharge) {
-                if (bound) {
-                    Cycle at = now >= rank.refreshDueAt
-                                   ? refreshFireCycle(qRank_[i])
-                                   : std::max(bank.nextPrecharge,
-                                              rank.refreshingUntil);
-                    *bound = std::min(*bound, std::max(at, now + 1));
-                }
-                continue;
+        if (open && (!rank_ok || now < bank.nextPrecharge)) {
+            if (bound) {
+                Cycle at = now >= rank.refreshDueAt
+                               ? refreshFireCycle(bank.rank)
+                               : std::max(bank.nextPrecharge,
+                                          rank.refreshingUntil);
+                *bound = std::min(*bound, std::max(at, now + 1));
             }
-            is_precharge = true;
-        } else {
-            if (!rank_ok || now < bank.nextActivate ||
-                !rankCanActivate(rank, now)) {
-                if (bound) {
-                    Cycle oldest = rank.actWindow[rank.actPtr];
-                    Cycle faw = oldest == 0 ? 0 : oldest + timing_.tFAW;
-                    Cycle at = now >= rank.refreshDueAt
-                                   ? refreshFireCycle(qRank_[i])
-                                   : std::max({bank.nextActivate,
-                                               rank.nextActivate, faw,
-                                               rank.refreshingUntil});
-                    *bound = std::min(*bound, std::max(at, now + 1));
-                }
-                continue;
-            }
-            is_precharge = false;
+            continue;
         }
-        bool priority = qPriority_[i] != 0;
-        if (best == kNoEntry || (priority && !best_priority) ||
-            (priority == best_priority && qAge_[i] < best_age)) {
-            best = i;
+        if (!open && (!rank_ok || now < bank.nextActivate ||
+                      !rankCanActivate(rank, now))) {
+            if (bound) {
+                Cycle oldest = rank.actWindow[rank.actPtr];
+                Cycle faw = oldest == 0 ? 0 : oldest + timing_.tFAW;
+                Cycle at = now >= rank.refreshDueAt
+                               ? refreshFireCycle(bank.rank)
+                               : std::max({bank.nextActivate,
+                                           rank.nextActivate, faw,
+                                           rank.refreshingUntil});
+                *bound = std::min(*bound, std::max(at, now + 1));
+            }
+            continue;
+        }
+        // The bank's pick: its first priority candidate, else its
+        // oldest entry.
+        std::uint32_t pick = bank.head;
+        if (qPriority_[pick] == 0 && bank.priority != 0) {
+            for (std::uint32_t slot = qLink_[pick].next;
+                 slot != kNil && !(open && isHit(slot));
+                 slot = qLink_[slot].next) {
+                if (qPriority_[slot] != 0) {
+                    pick = slot;
+                    break;
+                }
+            }
+        }
+        bool priority = qPriority_[pick] != 0;
+        if (best == kNil || (priority && !best_priority) ||
+            (priority == best_priority && qAge_[pick] < best_age)) {
+            best = pick;
             best_priority = priority;
-            best_age = qAge_[i];
-            best_is_precharge = is_precharge;
+            best_age = qAge_[pick];
+            best_is_precharge = open;
         }
     }
-    if (best == kNoEntry)
+    if (best == kNil)
         return false;
 
     std::uint32_t flat = qFlat_[best];
@@ -378,18 +487,19 @@ DramChannel::tryIssueRowCommand(Cycle now, Cycle *bound)
         if (checker_)
             checker_->onPrecharge(flat, now);
         traceCommand("PRE", now);
-        bank.openRow = -1;
+        closeRow(flat);
         bank.nextActivate = std::max(bank.nextActivate, now + timing_.tRP);
         return true;
     }
-    RankState &rank = ranks_[qRank_[best]];
+    std::uint32_t rank_index = bank.rank;
     if (checker_)
-        checker_->onActivate(qRank_[best], flat, qRow_[best], now);
+        checker_->onActivate(rank_index, flat, qRow_[best], now);
     traceCommand("ACT", now);
     bank.openRow = static_cast<std::int64_t>(qRow_[best]);
+    countHits(flat);
     bank.nextColumn = now + timing_.tRCD;
     bank.nextPrecharge = now + timing_.tRAS;
-    recordActivate(rank, now);
+    recordActivate(ranks_[rank_index], now);
     activates_.inc();
     qCausedActivate_[best] = 1;
     return true;
@@ -495,33 +605,35 @@ DramChannel::nextEventCycle(Cycle now) const
     };
 
     // One candidate per queued request: the earliest cycle whichever
-    // command FR-FCFS would issue for it next could go out. A rank
-    // with an overdue refresh contributes the refresh's exact fire
-    // cycle instead — nothing can issue on it until the REF (itself a
-    // state change) goes out. No candidate can clamp below now + 1, so
-    // the scan stops the moment one reaches it — during busy streaming
-    // the first entry usually does, making the common-case bound O(1).
-    computeMinHitAges();
-    for (std::size_t i = 0; i < queueSize() && next > now + 1; ++i) {
-        std::uint32_t flat = qFlat_[i];
-        const BankState &bank = banks_[flat];
-        const RankState &rank = ranks_[qRank_[i]];
+    // command FR-FCFS would issue for it next could go out. Requests
+    // on one bank share their candidates — a hit's depends only on its
+    // direction, a miss's only on the bank — so the fold is per bank.
+    // A rank with an overdue refresh contributes the refresh's exact
+    // fire cycle instead — nothing can issue on it until the REF
+    // (itself a state change) goes out. No candidate can clamp below
+    // now + 1, so the fold stops the moment one reaches it.
+    for (std::size_t i = 0; i < activeBanks_.size() && next > now + 1;
+         ++i) {
+        const BankState &bank = banks_[activeBanks_[i]];
+        const RankState &rank = ranks_[bank.rank];
         if (now >= rank.refreshDueAt) {
-            consider(refreshFireCycle(qRank_[i]));
+            consider(refreshFireCycle(bank.rank));
             continue;
         }
-        if (bank.openRow == static_cast<std::int64_t>(qRow_[i])) {
-            bool is_write = qWrite_[i] != 0;
-            Cycle gate = is_write == lastOpWasWrite_ ? nextColumnSame_
-                                                     : nextColumnSwitch_;
-            consider(std::max({bank.nextColumn, gate,
+        if (bank.hitReads != 0) {
+            consider(std::max({bank.nextColumn, columnGate(false),
                                rank.refreshingUntil}));
-        } else if (bank.openRow != -1) {
+        }
+        if (bank.hitWrites != 0) {
+            consider(std::max({bank.nextColumn, columnGate(true),
+                               rank.refreshingUntil}));
+        }
+        if (bank.openRow != -1) {
             // No precharge while an older request still wants the open
             // row; that older entry contributes its own column
             // candidate, and queue order only changes at visited
             // cycles, so skipping the candidate cannot overshoot.
-            if (minHitAge_[flat] >= qAge_[i])
+            if (!isHit(bank.head))
                 consider(std::max(bank.nextPrecharge,
                                   rank.refreshingUntil));
         } else {
@@ -548,13 +660,14 @@ DramChannel::saveState(StateWriter &out) const
     out.u64(ranks_.size());
 
     // The SoA queue in array order: the swap-with-back layout is part
-    // of the state (scan order feeds the min-age selection's memory
-    // access pattern, and ages restore the FCFS tie-breaks exactly).
+    // of the state (it decides which slot later removals move), and
+    // the ages restore the FCFS order loadState rebuilds the per-bank
+    // lists from. The bank index itself is derived, not written.
     out.u64(queueSize());
     for (std::size_t i = 0; i < queueSize(); ++i) {
         out.u32(qFlat_[i]);
         out.u64(qRow_[i]);
-        out.u32(qRank_[i]);
+        out.u32(banks_[qFlat_[i]].rank);
         out.u8(qPriority_[i]);
         out.u8(qWrite_[i]);
         out.u64(qAge_[i]);
@@ -620,20 +733,19 @@ DramChannel::loadState(StateReader &in)
         throw SnapshotError("DRAM channel queue overflows its depth");
     qFlat_.resize(n);
     qRow_.resize(n);
-    qRank_.resize(n);
     qPriority_.resize(n);
     qWrite_.resize(n);
     qAge_.resize(n);
     qArrival_.resize(n);
     qCausedActivate_.resize(n);
     qRequest_.resize(n);
+    qLink_.resize(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         qFlat_[i] = in.u32();
         if (qFlat_[i] >= banks_.size())
             throw SnapshotError("DRAM queue entry names a bad bank");
         qRow_[i] = in.u64();
-        qRank_[i] = in.u32();
-        if (qRank_[i] >= ranks_.size())
+        if (in.u32() != banks_[qFlat_[i]].rank)
             throw SnapshotError("DRAM queue entry names a bad rank");
         qPriority_[i] = in.u8();
         qWrite_[i] = in.u8();
@@ -651,6 +763,9 @@ DramChannel::loadState(StateReader &in)
     }
     nextAge_ = in.u64();
     priorityQueued_ = in.u32();
+    if (std::any_of(qAge_.begin(), qAge_.end(),
+                    [&](std::uint64_t age) { return age >= nextAge_; }))
+        throw SnapshotError("DRAM queue entry is younger than its channel");
 
     completions_.resize(in.u64());
     for (Completion &done : completions_) {
@@ -687,6 +802,7 @@ DramChannel::loadState(StateReader &in)
     lastOpWasWrite_ = in.b();
     boundAfterTick_ = in.u64();
     stats_.loadState(in);
+    rebuildIndex();
 }
 
 } // namespace mnpu
