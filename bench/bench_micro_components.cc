@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -49,6 +48,7 @@
 #include "analysis/golden.hh"
 #include "common/atomic_file.hh"
 #include "common/fidelity.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "dram/dram_system.hh"
 #include "mmu/mmu.hh"
@@ -334,52 +334,29 @@ runAllBaselineCases()
 std::string
 baselineLine(const BaselineRow &row)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"case\":\"%s\",\"fidelity\":\"%s\","
-                  "\"wall_seconds\":%.6f,\"loop_iterations\":%llu,"
-                  "\"global_cycles\":%llu}\n",
-                  row.name.c_str(), toString(row.fidelity),
-                  row.wallSeconds,
-                  static_cast<unsigned long long>(row.loopIterations),
-                  static_cast<unsigned long long>(row.globalCycles));
-    return std::string(buf);
+    std::string line = "{\"case\":";
+    json::appendString(line, row.name);
+    json::appendField(line, "fidelity", toString(row.fidelity));
+    line += ",\"wall_seconds\":";
+    json::appendFixed(line, row.wallSeconds, 6);
+    json::appendField(line, "loop_iterations", row.loopIterations);
+    json::appendField(line, "global_cycles", row.globalCycles);
+    line += "}\n";
+    return line;
 }
 
 bool
 parseBaselineLine(const std::string &line, BaselineRow &out)
 {
-    auto findString = [&line](const char *key, std::string &value) {
-        std::string tag = std::string("\"") + key + "\":\"";
-        std::size_t pos = line.find(tag);
-        if (pos == std::string::npos)
-            return false;
-        std::size_t end = line.find('"', pos + tag.size());
-        if (end == std::string::npos)
-            return false;
-        value = line.substr(pos + tag.size(), end - pos - tag.size());
-        return true;
-    };
-    auto findNumber = [&line](const char *key, double &value) {
-        std::string tag = std::string("\"") + key + "\":";
-        std::size_t pos = line.find(tag);
-        if (pos == std::string::npos)
-            return false;
-        value = std::strtod(line.c_str() + pos + tag.size(), nullptr);
-        return true;
-    };
+    json::Value row;
     std::string fidelity;
-    double loops = 0, cycles = 0;
-    if (!findString("case", out.name) ||
-        !findString("fidelity", fidelity) ||
-        !findNumber("wall_seconds", out.wallSeconds) ||
-        !findNumber("loop_iterations", loops) ||
-        !findNumber("global_cycles", cycles)) {
+    if (!json::parse(line, row) || !row.getField("case", out.name) ||
+        !row.getField("fidelity", fidelity) ||
+        !row.getField("wall_seconds", out.wallSeconds) ||
+        !row.getField("loop_iterations", out.loopIterations) ||
+        !row.getField("global_cycles", out.globalCycles))
         return false;
-    }
     out.fidelity = fidelitySetting().parse(fidelity);
-    out.loopIterations = static_cast<std::uint64_t>(loops);
-    out.globalCycles = static_cast<std::uint64_t>(cycles);
     return true;
 }
 

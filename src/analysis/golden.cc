@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
 #include "analysis/experiment.hh"
 #include "analysis/sweep_runner.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sw/arch_config.hh"
 
@@ -296,17 +295,6 @@ relativeDeviation(std::uint64_t exact, std::uint64_t fast)
            static_cast<double>(exact);
 }
 
-bool
-findJsonNumber(const std::string &line, const char *key, double &out)
-{
-    std::string tag = std::string("\"") + key + "\":";
-    std::size_t pos = line.find(tag);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtod(line.c_str() + pos + tag.size(), nullptr);
-    return true;
-}
-
 } // namespace
 
 FidelityEnvelopeEntry
@@ -335,16 +323,16 @@ measureFidelityEnvelope(const GoldenCase &golden)
 std::string
 fidelityEnvelopeLine(const FidelityEnvelopeEntry &entry)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"case\":\"%s\",\"exact_cycles\":%llu,"
-                  "\"fast_cycles\":%llu,\"deviation\":%.6f,"
-                  "\"bound\":%.6f}\n",
-                  entry.name.c_str(),
-                  static_cast<unsigned long long>(entry.exactCycles),
-                  static_cast<unsigned long long>(entry.fastCycles),
-                  entry.deviation, entry.bound);
-    return std::string(buf);
+    std::string line = "{\"case\":";
+    json::appendString(line, entry.name);
+    json::appendField(line, "exact_cycles", entry.exactCycles);
+    json::appendField(line, "fast_cycles", entry.fastCycles);
+    line += ",\"deviation\":";
+    json::appendFixed(line, entry.deviation, 6);
+    line += ",\"bound\":";
+    json::appendFixed(line, entry.bound, 6);
+    line += "}\n";
+    return line;
 }
 
 std::string
@@ -357,25 +345,12 @@ bool
 parseFidelityEnvelopeLine(const std::string &line,
                           FidelityEnvelopeEntry &out)
 {
-    const std::string tag = "\"case\":\"";
-    std::size_t pos = line.find(tag);
-    if (pos == std::string::npos)
-        return false;
-    std::size_t end = line.find('"', pos + tag.size());
-    if (end == std::string::npos)
-        return false;
-    out.name = line.substr(pos + tag.size(), end - pos - tag.size());
-
-    double exact = 0, fast = 0;
-    if (!findJsonNumber(line, "exact_cycles", exact) ||
-        !findJsonNumber(line, "fast_cycles", fast) ||
-        !findJsonNumber(line, "deviation", out.deviation) ||
-        !findJsonNumber(line, "bound", out.bound)) {
-        return false;
-    }
-    out.exactCycles = static_cast<std::uint64_t>(exact);
-    out.fastCycles = static_cast<std::uint64_t>(fast);
-    return true;
+    json::Value row;
+    return json::parse(line, row) && row.getField("case", out.name) &&
+           row.getField("exact_cycles", out.exactCycles) &&
+           row.getField("fast_cycles", out.fastCycles) &&
+           row.getField("deviation", out.deviation) &&
+           row.getField("bound", out.bound);
 }
 
 } // namespace mnpu

@@ -24,10 +24,12 @@
  *    worker would need every bench/test to serialize its network
  *    definitions to disk.
  *  - The wire format is the checkpoint-v2 JSON line (toJsonLine /
- *    parseJsonLine): one hardened parser for disk and IPC alike. The
- *    child writes a `{"hb":<attempt>}` heartbeat line first — it has
- *    no "key", so the record parser naturally skips it — then the
- *    result line, then _exit()s (never exit(): static destructors of
+ *    parseJsonLine) for disk and IPC alike, read by the strict
+ *    common/json codec: a torn, non-JSON or over-nested line is a
+ *    malformed record, never a crash. The child writes a
+ *    `{"hb":<attempt>}` heartbeat line first — it has no "key", so
+ *    the record parser naturally skips it — then the result line,
+ *    then _exit()s (never exit(): static destructors of
  *    the forked image must not run twice).
  *  - The supervisor is a single-threaded poll loop (waitpid WNOHANG +
  *    short sleeps): no supervision threads means fork() never races a

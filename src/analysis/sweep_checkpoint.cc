@@ -1,19 +1,17 @@
 #include "analysis/sweep_checkpoint.hh"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <set>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "common/config.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mnpu
@@ -54,217 +52,60 @@ statusFromString(const std::string &text, SweepStatus &status)
     return false;
 }
 
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    out.push_back('"');
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    out.push_back('"');
-}
-
-void
-appendDouble(std::string &out, double value)
-{
-    // Round-trippable doubles; NaN/inf are not valid JSON, so emit
-    // null and read it back as NaN (failed jobs carry NaN metrics).
-    if (!std::isfinite(value)) {
-        out += "null";
-        return;
-    }
-    std::ostringstream stream;
-    stream.precision(17);
-    stream << value;
-    out += stream.str();
-}
-
 /**
- * Minimal JSON reader for the exact subset toJsonLine() emits: one
- * flat object of string keys mapping to strings, numbers, null, or
- * arrays of strings/numbers. No nested objects, no bools.
+ * Every record field after "key", "v" and "status", in the order
+ * toJsonLine() writes them. parseJsonLine() reads through the same
+ * list, so the writer and the reader cannot drift apart.
  */
-class JsonReader
+template <typename Record, typename Visit>
+void
+forEachField(Record &record, Visit &&visit)
 {
-  public:
-    explicit JsonReader(const std::string &text) : text_(text) {}
+    visit("error", record.error);
+    visit("wall_seconds", record.wallSeconds);
+    visit("models", record.models);
+    visit("speedups", record.speedups);
+    visit("slowdowns", record.slowdowns);
+    visit("geomean_speedup", record.geomeanSpeedup);
+    visit("fairness", record.fairnessValue);
+    visit("local_cycles", record.localCycles);
+    visit("finished_at_global", record.finishedAtGlobal);
+    visit("pe_utilization", record.peUtilization);
+    visit("traffic_bytes", record.trafficBytes);
+    visit("walk_bytes", record.walkBytes);
+    visit("tlb_hits", record.tlbHits);
+    visit("tlb_misses", record.tlbMisses);
+    visit("walks", record.walks);
+    visit("layer_finish_local", record.layerFinishLocal);
+    visit("global_cycles", record.globalCycles);
+    visit("dram_energy_pj", record.dramEnergyPj);
+    visit("dram_row_hits", record.dramRowHits);
+    visit("dram_row_misses", record.dramRowMisses);
+}
 
-    bool ok() const { return ok_; }
-    void fail() { ok_ = false; }
-
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    char peek()
-    {
-        skipSpace();
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    bool atEnd()
-    {
-        skipSpace();
-        return pos_ >= text_.size();
-    }
-
-    std::string readString()
-    {
-        std::string out;
-        if (!consume('"')) {
-            fail();
-            return out;
-        }
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    break;
-                char esc = text_[pos_++];
-                switch (esc) {
-                  case '"':
-                  case '\\':
-                  case '/':
-                    out.push_back(esc);
-                    break;
-                  case 'n':
-                    out.push_back('\n');
-                    break;
-                  case 't':
-                    out.push_back('\t');
-                    break;
-                  case 'r':
-                    out.push_back('\r');
-                    break;
-                  case 'u': {
-                    if (pos_ + 4 > text_.size()) {
-                        fail();
-                        return out;
-                    }
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char digit = text_[pos_ + static_cast<std::size_t>(i)];
-                        unsigned nibble;
-                        if (digit >= '0' && digit <= '9')
-                            nibble = static_cast<unsigned>(digit - '0');
-                        else if (digit >= 'a' && digit <= 'f')
-                            nibble = static_cast<unsigned>(digit - 'a') + 10;
-                        else if (digit >= 'A' && digit <= 'F')
-                            nibble = static_cast<unsigned>(digit - 'A') + 10;
-                        else {
-                            fail(); // garbage hex: reject the line
-                            return out;
-                        }
-                        code = code << 4 | nibble;
-                    }
-                    pos_ += 4;
-                    // The writer only emits \u00XX control codes; a
-                    // larger code point would need UTF-8 encoding this
-                    // reader does not do, so reject it rather than
-                    // silently mangle a hand-edited file.
-                    if (code > 0xff) {
-                        fail();
-                        return out;
-                    }
-                    out.push_back(static_cast<char>(code));
-                    break;
-                  }
-                  default:
-                    fail();
-                    return out;
-                }
-            } else {
-                out.push_back(c);
-            }
-        }
-        fail(); // unterminated string
-        return out;
-    }
-
-    double readNumber()
-    {
-        skipSpace();
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return std::nan("");
-        }
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        double value = std::strtod(begin, &end);
-        if (end == begin) {
-            fail();
-            return 0;
-        }
-        pos_ += static_cast<std::size_t>(end - begin);
-        return value;
-    }
-
-    /**
-     * Exact 64-bit integer: the writer emits cycle and byte counters
-     * via std::to_string, and a double round-trip would lose precision
-     * above 2^53, silently breaking bit-identical restore.
-     */
-    std::uint64_t readUInt64()
-    {
-        skipSpace();
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long value = std::strtoull(begin, &end, 10);
-        if (end == begin || *begin == '-' || errno == ERANGE) {
-            fail();
-            return 0;
-        }
-        pos_ += static_cast<std::size_t>(end - begin);
-        return value;
-    }
-
-  private:
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
-};
+/** The serving summary's flat serving_* fields, in write order. */
+template <typename Summary, typename Visit>
+void
+forEachServingField(Summary &s, Visit &&visit)
+{
+    visit("serving_offered", s.offered);
+    visit("serving_completed", s.completed);
+    visit("serving_slo_good", s.sloGood);
+    visit("serving_rounds", s.rounds);
+    visit("serving_prefill_tokens", s.prefillTokens);
+    visit("serving_decode_tokens", s.decodeTokens);
+    visit("serving_kv_read_bytes", s.kvReadBytes);
+    visit("serving_makespan_cycles", s.makespanCycles);
+    visit("serving_ttft_p50", s.ttftP50);
+    visit("serving_ttft_p99", s.ttftP99);
+    visit("serving_ttft_mean", s.ttftMean);
+    visit("serving_tpot_p50", s.tpotP50);
+    visit("serving_tpot_p99", s.tpotP99);
+    visit("serving_latency_p50", s.latencyP50);
+    visit("serving_latency_p99", s.latencyP99);
+    visit("serving_offered_per_mcycle", s.offeredPerMcycle);
+    visit("serving_goodput_per_mcycle", s.goodputPerMcycle);
+}
 
 } // namespace
 
@@ -273,117 +114,18 @@ toJsonLine(const SweepCheckpointRecord &record)
 {
     std::string out;
     out.reserve(512);
-    auto doubleArray = [&out](const char *name,
-                              const std::vector<double> &values) {
-        out += ",\"";
-        out += name;
-        out += "\":[";
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            if (i)
-                out.push_back(',');
-            appendDouble(out, values[i]);
-        }
-        out += "]";
-    };
-    auto u64Array = [&out](const char *name,
-                           const std::vector<std::uint64_t> &values) {
-        out += ",\"";
-        out += name;
-        out += "\":[";
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            if (i)
-                out.push_back(',');
-            out += std::to_string(values[i]);
-        }
-        out += "]";
+    auto field = [&out](const char *name, const auto &value) {
+        json::appendField(out, name, value);
     };
     out += "{\"key\":";
-    appendEscaped(out, record.key);
-    out += ",\"v\":";
-    out += std::to_string(record.version);
-    out += ",\"status\":";
-    appendEscaped(out, toString(record.status));
-    out += ",\"error\":";
-    appendEscaped(out, record.error);
-    out += ",\"wall_seconds\":";
-    appendDouble(out, record.wallSeconds);
-    out += ",\"models\":[";
-    for (std::size_t i = 0; i < record.models.size(); ++i) {
-        if (i)
-            out.push_back(',');
-        appendEscaped(out, record.models[i]);
-    }
-    out += "]";
-    doubleArray("speedups", record.speedups);
-    doubleArray("slowdowns", record.slowdowns);
-    out += ",\"geomean_speedup\":";
-    appendDouble(out, record.geomeanSpeedup);
-    out += ",\"fairness\":";
-    appendDouble(out, record.fairnessValue);
-    u64Array("local_cycles", record.localCycles);
-    u64Array("finished_at_global", record.finishedAtGlobal);
-    doubleArray("pe_utilization", record.peUtilization);
-    u64Array("traffic_bytes", record.trafficBytes);
-    u64Array("walk_bytes", record.walkBytes);
-    u64Array("tlb_hits", record.tlbHits);
-    u64Array("tlb_misses", record.tlbMisses);
-    u64Array("walks", record.walks);
-    out += ",\"layer_finish_local\":[";
-    for (std::size_t i = 0; i < record.layerFinishLocal.size(); ++i) {
-        if (i)
-            out.push_back(',');
-        out.push_back('[');
-        const auto &layers = record.layerFinishLocal[i];
-        for (std::size_t j = 0; j < layers.size(); ++j) {
-            if (j)
-                out.push_back(',');
-            out += std::to_string(layers[j]);
-        }
-        out.push_back(']');
-    }
-    out += "],\"global_cycles\":";
-    out += std::to_string(record.globalCycles);
-    out += ",\"dram_energy_pj\":";
-    appendDouble(out, record.dramEnergyPj);
-    out += ",\"dram_row_hits\":";
-    out += std::to_string(record.dramRowHits);
-    out += ",\"dram_row_misses\":";
-    out += std::to_string(record.dramRowMisses);
-    if (record.serving) {
-        // Flat serving_* keys — this reader's JSON subset has no
-        // nested objects — emitted only for serving records so batch
-        // lines (and the committed batch goldens) stay byte-identical.
-        const ServingSummary &s = *record.serving;
-        auto u64Field = [&out](const char *name, std::uint64_t value) {
-            out += ",\"";
-            out += name;
-            out += "\":";
-            out += std::to_string(value);
-        };
-        auto doubleField = [&out](const char *name, double value) {
-            out += ",\"";
-            out += name;
-            out += "\":";
-            appendDouble(out, value);
-        };
-        u64Field("serving_offered", s.offered);
-        u64Field("serving_completed", s.completed);
-        u64Field("serving_slo_good", s.sloGood);
-        u64Field("serving_rounds", s.rounds);
-        u64Field("serving_prefill_tokens", s.prefillTokens);
-        u64Field("serving_decode_tokens", s.decodeTokens);
-        u64Field("serving_kv_read_bytes", s.kvReadBytes);
-        u64Field("serving_makespan_cycles", s.makespanCycles);
-        doubleField("serving_ttft_p50", s.ttftP50);
-        doubleField("serving_ttft_p99", s.ttftP99);
-        doubleField("serving_ttft_mean", s.ttftMean);
-        doubleField("serving_tpot_p50", s.tpotP50);
-        doubleField("serving_tpot_p99", s.tpotP99);
-        doubleField("serving_latency_p50", s.latencyP50);
-        doubleField("serving_latency_p99", s.latencyP99);
-        doubleField("serving_offered_per_mcycle", s.offeredPerMcycle);
-        doubleField("serving_goodput_per_mcycle", s.goodputPerMcycle);
-    }
+    json::appendString(out, record.key);
+    field("v", record.version);
+    field("status", toString(record.status));
+    forEachField(record, field);
+    // Serving keys only for serving records, so batch lines (and the
+    // committed batch goldens) stay byte-identical.
+    if (record.serving)
+        forEachServingField(*record.serving, field);
     out += "}";
     return out;
 }
@@ -391,186 +133,34 @@ toJsonLine(const SweepCheckpointRecord &record)
 bool
 parseJsonLine(const std::string &line, SweepCheckpointRecord &record)
 {
-    JsonReader reader(line);
-    if (!reader.consume('{'))
-        return false;
     SweepCheckpointRecord parsed;
-    parsed.version = 1; // records without "v" predate versioning
-    auto readDoubleArray = [&reader](std::vector<double> &out) {
-        if (!reader.consume('['))
-            return false;
-        bool first_item = true;
-        while (reader.ok() && !reader.consume(']')) {
-            if (!first_item && !reader.consume(','))
-                return false;
-            first_item = false;
-            out.push_back(reader.readNumber());
-        }
-        return reader.ok();
-    };
-    auto readU64Array = [&reader](std::vector<std::uint64_t> &out) {
-        if (!reader.consume('['))
-            return false;
-        bool first_item = true;
-        while (reader.ok() && !reader.consume(']')) {
-            if (!first_item && !reader.consume(','))
-                return false;
-            first_item = false;
-            out.push_back(reader.readUInt64());
-        }
-        return reader.ok();
-    };
-    // Unknown field (newer writer): skip its value — string, number,
-    // or arbitrarily nested array — so old readers stay
-    // forward-compatible.
-    std::function<void()> skipValue = [&reader, &skipValue]() {
-        if (reader.peek() == '"') {
-            reader.readString();
-        } else if (reader.consume('[')) {
-            bool first_item = true;
-            while (reader.ok() && !reader.consume(']')) {
-                if (!first_item && !reader.consume(',')) {
-                    reader.fail();
-                    return;
-                }
-                first_item = false;
-                skipValue();
-            }
-        } else {
-            reader.readNumber();
-        }
-    };
-    bool saw_key = false;
-    bool first = true;
-    while (reader.ok() && !reader.consume('}')) {
-        if (!first && !reader.consume(','))
-            return false;
-        first = false;
-        std::string field = reader.readString();
-        if (!reader.ok() || !reader.consume(':'))
-            return false;
-        if (field == "key") {
-            parsed.key = reader.readString();
-            saw_key = true;
-        } else if (field == "v") {
-            parsed.version =
-                static_cast<std::uint32_t>(reader.readUInt64());
-        } else if (field == "status") {
-            if (!statusFromString(reader.readString(), parsed.status))
-                return false;
-        } else if (field == "error") {
-            parsed.error = reader.readString();
-        } else if (field == "wall_seconds") {
-            parsed.wallSeconds = reader.readNumber();
-        } else if (field == "geomean_speedup") {
-            parsed.geomeanSpeedup = reader.readNumber();
-        } else if (field == "fairness") {
-            parsed.fairnessValue = reader.readNumber();
-        } else if (field == "dram_energy_pj") {
-            parsed.dramEnergyPj = reader.readNumber();
-        } else if (field == "global_cycles") {
-            parsed.globalCycles = reader.readUInt64();
-        } else if (field == "dram_row_hits") {
-            parsed.dramRowHits = reader.readUInt64();
-        } else if (field == "dram_row_misses") {
-            parsed.dramRowMisses = reader.readUInt64();
-        } else if (field == "models") {
-            if (!reader.consume('['))
-                return false;
-            while (reader.ok() && !reader.consume(']')) {
-                if (!parsed.models.empty() && !reader.consume(','))
-                    return false;
-                parsed.models.push_back(reader.readString());
-            }
-        } else if (field == "speedups") {
-            if (!readDoubleArray(parsed.speedups))
-                return false;
-        } else if (field == "slowdowns") {
-            if (!readDoubleArray(parsed.slowdowns))
-                return false;
-        } else if (field == "pe_utilization") {
-            if (!readDoubleArray(parsed.peUtilization))
-                return false;
-        } else if (field == "local_cycles") {
-            if (!readU64Array(parsed.localCycles))
-                return false;
-        } else if (field == "finished_at_global") {
-            if (!readU64Array(parsed.finishedAtGlobal))
-                return false;
-        } else if (field == "traffic_bytes") {
-            if (!readU64Array(parsed.trafficBytes))
-                return false;
-        } else if (field == "walk_bytes") {
-            if (!readU64Array(parsed.walkBytes))
-                return false;
-        } else if (field == "tlb_hits") {
-            if (!readU64Array(parsed.tlbHits))
-                return false;
-        } else if (field == "tlb_misses") {
-            if (!readU64Array(parsed.tlbMisses))
-                return false;
-        } else if (field == "walks") {
-            if (!readU64Array(parsed.walks))
-                return false;
-        } else if (field.rfind("serving_", 0) == 0) {
-            ServingSummary &s =
-                parsed.serving ? *parsed.serving
-                               : parsed.serving.emplace();
-            if (field == "serving_offered")
-                s.offered = reader.readUInt64();
-            else if (field == "serving_completed")
-                s.completed = reader.readUInt64();
-            else if (field == "serving_slo_good")
-                s.sloGood = reader.readUInt64();
-            else if (field == "serving_rounds")
-                s.rounds = reader.readUInt64();
-            else if (field == "serving_prefill_tokens")
-                s.prefillTokens = reader.readUInt64();
-            else if (field == "serving_decode_tokens")
-                s.decodeTokens = reader.readUInt64();
-            else if (field == "serving_kv_read_bytes")
-                s.kvReadBytes = reader.readUInt64();
-            else if (field == "serving_makespan_cycles")
-                s.makespanCycles = reader.readUInt64();
-            else if (field == "serving_ttft_p50")
-                s.ttftP50 = reader.readNumber();
-            else if (field == "serving_ttft_p99")
-                s.ttftP99 = reader.readNumber();
-            else if (field == "serving_ttft_mean")
-                s.ttftMean = reader.readNumber();
-            else if (field == "serving_tpot_p50")
-                s.tpotP50 = reader.readNumber();
-            else if (field == "serving_tpot_p99")
-                s.tpotP99 = reader.readNumber();
-            else if (field == "serving_latency_p50")
-                s.latencyP50 = reader.readNumber();
-            else if (field == "serving_latency_p99")
-                s.latencyP99 = reader.readNumber();
-            else if (field == "serving_offered_per_mcycle")
-                s.offeredPerMcycle = reader.readNumber();
-            else if (field == "serving_goodput_per_mcycle")
-                s.goodputPerMcycle = reader.readNumber();
-            else
-                skipValue(); // newer serving field: forward-compatible
-        } else if (field == "layer_finish_local") {
-            if (!reader.consume('['))
-                return false;
-            bool first_core = true;
-            while (reader.ok() && !reader.consume(']')) {
-                if (!first_core && !reader.consume(','))
-                    return false;
-                first_core = false;
-                std::vector<std::uint64_t> layers;
-                if (!readU64Array(layers))
-                    return false;
-                parsed.layerFinishLocal.push_back(std::move(layers));
-            }
-        } else {
-            skipValue();
-        }
-    }
-    if (!reader.ok() || !saw_key || !reader.atEnd())
+    json::Value object;
+    if (!json::parse(line, object) || !object.getField("key", parsed.key))
         return false;
+    // Every other field is optional: absent keeps the default, and an
+    // unknown field (a newer writer's) is never looked at, so old
+    // readers stay forward-compatible. Present with the wrong type
+    // rejects the line.
+    bool ok = true;
+    auto field = [&object, &ok](const char *name, auto &out) {
+        const json::Value *value = object.find(name);
+        ok = ok && (!value || value->get(out));
+    };
+    std::uint64_t version = 1; // records without "v" predate versioning
+    std::string status = toString(SweepStatus::Ok);
+    field("v", version);
+    field("status", status);
+    forEachField(parsed, field);
+    // Any serving_* key marks a serving record, even one this reader
+    // does not know.
+    if (std::ranges::any_of(object.keys(), [](const std::string &name) {
+            return name.starts_with("serving_");
+        }))
+        forEachServingField(parsed.serving.emplace(), field);
+    if (!ok || version > UINT32_MAX ||
+        !statusFromString(status, parsed.status))
+        return false;
+    parsed.version = static_cast<std::uint32_t>(version);
     record = std::move(parsed);
     return true;
 }

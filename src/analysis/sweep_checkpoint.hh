@@ -14,7 +14,9 @@
  * The format is deliberately minimal, with an explicit "v" format
  * version (readers skip unknown fields, so newer writers stay
  * readable; records older than the current version are re-executed on
- * resume rather than restored incompletely):
+ * resume rather than restored incompletely). The common/json codec
+ * writes and reads each line; a line it rejects, or one without a
+ * "key", is a malformed record:
  *   {"key":"<16-hex FNV-1a>","v":2,"status":"ok","error":"",
  *    "wall_seconds":1.25,"models":["net0","net1"],
  *    "speedups":[...],"slowdowns":[...],
@@ -100,10 +102,9 @@ struct SweepCheckpointRecord
     std::uint64_t dramRowMisses = 0;
 
     /**
-     * Engaged for serving jobs: the SLO summary behind `serving.*`.
-     * Serialized as flat "serving_*" keys (the JSONL subset has no
-     * nested objects) and only when engaged, so batch records — and
-     * the committed batch golden fixtures — stay byte-identical.
+     * Engaged for serving jobs: the SLO summary behind `serving.*`,
+     * serialized as flat "serving_*" keys only when engaged, so batch
+     * records — and the committed batch goldens — stay byte-identical.
      */
     std::optional<ServingSummary> serving;
 };

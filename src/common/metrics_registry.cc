@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 
@@ -33,21 +34,6 @@ writeCsvString(std::ostream &out, const std::string &text)
     for (char c : text) {
         if (c == '"')
             out << "\"\"";
-        else
-            out << c;
-    }
-    out << '"';
-}
-
-void
-writeJsonString(std::ostream &out, const std::string &text)
-{
-    out << '"';
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out << '\\' << c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out << ' ';
         else
             out << c;
     }
@@ -150,28 +136,25 @@ TelemetrySnapshot::writeCsv(std::ostream &out) const
 void
 TelemetrySnapshot::writeJsonl(std::ostream &out) const
 {
+    std::string text;
     for (const Metric &metric : metrics) {
-        out << "{\"kind\":\"" << (metric.isCounter ? "counter" : "gauge")
-            << "\",\"name\":";
-        writeJsonString(out, metric.name);
-        out << ",\"value\":";
+        text += "{\"kind\":";
+        json::appendString(text, metric.isCounter ? "counter" : "gauge");
+        json::appendField(text, "name", metric.name);
         if (metric.isCounter)
-            out << metric.counter;
+            json::appendField(text, "value", metric.counter);
         else
-            out << formatDouble(metric.gauge);
-        out << "}\n";
+            json::appendField(text, "value", metric.gauge);
+        text += "}\n";
     }
     for (const Series &entry : series) {
-        out << "{\"kind\":\"series\",\"name\":";
-        writeJsonString(out, entry.name);
-        out << ",\"window_cycles\":" << entry.windowCycles << ",\"values\":[";
-        for (std::size_t i = 0; i < entry.values.size(); ++i) {
-            if (i)
-                out << ',';
-            out << entry.values[i];
-        }
-        out << "]}\n";
+        text += "{\"kind\":\"series\"";
+        json::appendField(text, "name", entry.name);
+        json::appendField(text, "window_cycles", entry.windowCycles);
+        json::appendField(text, "values", entry.values);
+        text += "}\n";
     }
+    out << text;
 }
 
 void

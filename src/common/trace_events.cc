@@ -1,10 +1,7 @@
 #include "common/trace_events.hh"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mnpu
@@ -71,75 +68,38 @@ TraceEventSink::instant(std::uint32_t pid, std::uint32_t tid,
     events_.push_back(Event{'i', pid, tid, category, std::move(name), at, 0});
 }
 
-namespace
+std::string
+TraceEventSink::toJson() const
 {
-
-void
-writeJsonString(std::ostream &out, const std::string &text)
-{
-    out << '"';
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out << "\\\"";
-            break;
-          case '\\':
-            out << "\\\\";
-            break;
-          case '\n':
-            out << "\\n";
-            break;
-          case '\t':
-            out << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out << buffer;
-            } else {
-                out << c;
-            }
-        }
-    }
-    out << '"';
-}
-
-} // namespace
-
-void
-TraceEventSink::write(std::ostream &out) const
-{
-    out << "{\"traceEvents\":[";
-    bool first = true;
-    for (const Event &event : events_) {
-        if (!first)
-            out << ",\n";
-        first = false;
+    std::string text = "{\"traceEvents\":[";
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+        const Event &event = events_[i];
+        if (i)
+            text += ",\n";
+        text += "{\"ph\":";
+        json::appendString(text, std::string_view(&event.phase, 1));
+        json::appendField(text, "pid", event.pid);
+        json::appendField(text, "tid", event.tid);
         if (event.phase == 'M') {
-            const char *metadata_name =
-                event.category ? "thread_name" : "process_name";
-            out << "{\"ph\":\"M\",\"pid\":" << event.pid
-                << ",\"tid\":" << event.tid << ",\"name\":\"" << metadata_name
-                << "\",\"args\":{\"name\":";
-            writeJsonString(out, event.name);
-            out << "}}";
+            json::appendField(text, "name", event.category ? "thread_name"
+                                                           : "process_name");
+            text += ",\"args\":{\"name\":";
+            json::appendString(text, event.name);
+            text += "}}";
             continue;
         }
-        out << "{\"ph\":\"" << event.phase << "\",\"pid\":" << event.pid
-            << ",\"tid\":" << event.tid << ",\"cat\":\""
-            << (event.category ? event.category : "") << "\",\"name\":";
-        writeJsonString(out, event.name);
-        out << ",\"ts\":" << event.ts;
+        json::appendField(text, "cat", event.category ? event.category : "");
+        json::appendField(text, "name", event.name);
+        json::appendField(text, "ts", event.ts);
         if (event.phase == 'X')
-            out << ",\"dur\":" << event.dur;
+            json::appendField(text, "dur", event.dur);
         else
-            out << ",\"s\":\"t\"";
-        out << "}";
+            json::appendField(text, "s", "t");
+        text += "}";
     }
     // displayTimeUnit is cosmetic; timestamps are DRAM-clock cycles.
-    out << "],\"displayTimeUnit\":\"ns\"}\n";
+    text += "],\"displayTimeUnit\":\"ns\"}\n";
+    return text;
 }
 
 void
@@ -149,10 +109,8 @@ TraceEventSink::writeFile(const std::string &path) const
     // array is always finalized (closing brackets present), and a
     // process dying mid-write can never leave a truncated JSON file
     // at the published path.
-    std::ostringstream out;
-    write(out);
     std::string error;
-    if (!atomicWriteFile(path, out.str(), &error))
+    if (!atomicWriteFile(path, toJson(), &error))
         fatal("cannot write trace output file '", path, "': ", error);
 }
 

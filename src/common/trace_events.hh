@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -141,9 +140,9 @@ class TraceEventSink
     std::size_t eventCount() const { return events_.size(); }
 
     /** Serialize the full `{"traceEvents":[...]}` document. */
-    void write(std::ostream &out) const;
+    std::string toJson() const;
 
-    /** write() to @p path; fatal() if the file can't be created. */
+    /** toJson() to @p path; fatal() if the file can't be created. */
     void writeFile(const std::string &path) const;
 
   private:

@@ -184,6 +184,29 @@ TEST(FidelityEnvelopeFile, LineRoundTrips)
     EXPECT_FALSE(parseFidelityEnvelopeLine("{\"not\":\"it\"}", parsed));
 }
 
+TEST(FidelityEnvelopeFile, RejectsGarbageAndReadsExactCycles)
+{
+    FidelityEnvelopeEntry parsed;
+    // Empty, non-numeric, quoted, negative and fractional values are
+    // not a row of zeros.
+    for (const char *bad :
+         {"{\"case\":\"x\",\"exact_cycles\":,\"fast_cycles\":oops,"
+          "\"deviation\":\"0.5\",\"bound\":}",
+          "{\"case\":\"x\",\"exact_cycles\":-1,\"fast_cycles\":1,"
+          "\"deviation\":0.5,\"bound\":0.6}",
+          "{\"case\":\"x\",\"exact_cycles\":1.5,\"fast_cycles\":1,"
+          "\"deviation\":0.5,\"bound\":0.6}"})
+        EXPECT_FALSE(parseFidelityEnvelopeLine(bad, parsed)) << bad;
+    // Cycle counts are u64, not doubles: 2^53 + 1 survives.
+    ASSERT_TRUE(parseFidelityEnvelopeLine(
+        "{\"case\":\"x\",\"exact_cycles\":9007199254740993,"
+        "\"fast_cycles\":18446744073709551615,\"deviation\":0.5,"
+        "\"bound\":0.6}",
+        parsed));
+    EXPECT_EQ(parsed.exactCycles, 9007199254740993ULL);
+    EXPECT_EQ(parsed.fastCycles, UINT64_MAX);
+}
+
 // --- checkpoint identity ---
 
 TEST(FidelitySweepKey, FastFeedsTheKeyOnlyWhenItActuallyRuns)

@@ -24,6 +24,7 @@
 #include "analysis/experiment.hh"
 #include "analysis/golden.hh"
 #include "analysis/sweep_runner.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/trace_events.hh"
@@ -36,208 +37,21 @@ namespace mnpu
 namespace
 {
 
-// ---------------------------------------------------------------------
-// A minimal JSON reader, just enough to validate exporter output.
-// (The repo has writers but deliberately no JSON dependency; tests
-// re-parse the output instead of trusting the writer.)
-// ---------------------------------------------------------------------
-
-struct JsonValue
+// Field reads on exporter output parsed with the strict codec; a
+// missing or mistyped field reads as -1 / "".
+double
+num(const json::Value &object, const char *key)
 {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> fields;
+    double value = -1;
+    return object.getField(key, value) ? value : -1;
+}
 
-    bool isObject() const { return kind == Kind::Object; }
-    const JsonValue *find(const std::string &key) const
-    {
-        auto it = fields.find(key);
-        return it == fields.end() ? nullptr : &it->second;
-    }
-    double num(const std::string &key) const
-    {
-        const JsonValue *value = find(key);
-        return value && value->kind == Kind::Number ? value->number : -1;
-    }
-    std::string str(const std::string &key) const
-    {
-        const JsonValue *value = find(key);
-        return value && value->kind == Kind::String ? value->text
-                                                    : std::string{};
-    }
-};
-
-class JsonReader
+std::string
+str(const json::Value &object, const char *key)
 {
-  public:
-    explicit JsonReader(const std::string &text) : text_(text) {}
-
-    bool parse(JsonValue &out)
-    {
-        skipSpace();
-        if (!parseValue(out))
-            return false;
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-  private:
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                text_[pos_] == '\r' || text_[pos_] == '\t'))
-            ++pos_;
-    }
-
-    bool literal(const char *word)
-    {
-        std::size_t length = std::string(word).size();
-        if (text_.compare(pos_, length, word) != 0)
-            return false;
-        pos_ += length;
-        return true;
-    }
-
-    bool parseString(std::string &out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return false;
-                char esc = text_[pos_++];
-                switch (esc) {
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'u':
-                    if (pos_ + 4 > text_.size())
-                        return false;
-                    // Validation-only: keep the escape verbatim.
-                    out += "\\u" + text_.substr(pos_, 4);
-                    pos_ += 4;
-                    break;
-                  default: out += esc; break;
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (pos_ >= text_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool parseValue(JsonValue &out)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Object;
-            skipSpace();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipSpace();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                skipSpace();
-                if (pos_ >= text_.size() || text_[pos_++] != ':')
-                    return false;
-                JsonValue value;
-                if (!parseValue(value))
-                    return false;
-                out.fields.emplace(std::move(key), std::move(value));
-                skipSpace();
-                if (pos_ >= text_.size())
-                    return false;
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return false;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Array;
-            skipSpace();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                JsonValue value;
-                if (!parseValue(value))
-                    return false;
-                out.items.push_back(std::move(value));
-                skipSpace();
-                if (pos_ >= text_.size())
-                    return false;
-                if (text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return false;
-            }
-        }
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.text);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n')
-            return literal("null");
-        // Number.
-        std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            return false;
-        out.kind = JsonValue::Kind::Number;
-        out.number = std::atof(text_.substr(start, pos_ - start).c_str());
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+    std::string value;
+    return object.getField(key, value) ? value : std::string{};
+}
 
 std::string
 readWholeFile(const std::string &path)
@@ -396,10 +210,10 @@ TEST(TelemetryExport, JsonlLinesParse)
     std::string line;
     std::size_t count = 0;
     while (std::getline(lines, line)) {
-        JsonValue value;
-        EXPECT_TRUE(JsonReader(line).parse(value)) << line;
-        EXPECT_TRUE(value.isObject());
-        EXPECT_FALSE(value.str("kind").empty());
+        json::Value value;
+        EXPECT_TRUE(json::parse(line, value)) << line;
+        EXPECT_EQ(value.kind(), json::Value::Kind::Object);
+        EXPECT_FALSE(str(value, "kind").empty());
         ++count;
     }
     EXPECT_EQ(count, 2u);
@@ -416,13 +230,13 @@ TEST(TraceExport, EmitsNestedLayerAndTileSpansForEveryCore)
     obs.traceLevel = TraceLevel::Tiles;
     SimResult result = runDualMix(obs);
 
-    JsonValue doc;
-    ASSERT_TRUE(JsonReader(readWholeFile(obs.traceOutPath)).parse(doc))
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readWholeFile(obs.traceOutPath), doc))
         << "trace output is not valid JSON";
     std::filesystem::remove(obs.traceOutPath);
-    const JsonValue *events = doc.find("traceEvents");
+    const json::Value *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
-    ASSERT_EQ(events->kind, JsonValue::Kind::Array);
+    ASSERT_EQ(events->kind(), json::Value::Kind::Array);
 
     struct Span
     {
@@ -430,18 +244,18 @@ TEST(TraceExport, EmitsNestedLayerAndTileSpansForEveryCore)
     };
     std::map<int, std::vector<Span>> layers, tiles;
     std::map<int, bool> named;
-    for (const JsonValue &event : events->items) {
-        ASSERT_TRUE(event.isObject());
-        std::string phase = event.str("ph");
-        int pid = static_cast<int>(event.num("pid"));
-        if (phase == "M" && event.str("name") == "process_name")
+    for (const json::Value &event : events->items()) {
+        ASSERT_EQ(event.kind(), json::Value::Kind::Object);
+        std::string phase = str(event, "ph");
+        int pid = static_cast<int>(num(event, "pid"));
+        if (phase == "M" && str(event, "name") == "process_name")
             named[pid] = true;
         if (phase != "X")
             continue;
-        Span span{event.num("ts"), event.num("ts") + event.num("dur")};
-        if (event.str("cat") == "layer")
+        Span span{num(event, "ts"), num(event, "ts") + num(event, "dur")};
+        if (str(event, "cat") == "layer")
             layers[pid].push_back(span);
-        else if (event.str("cat") == "tile")
+        else if (str(event, "cat") == "tile")
             tiles[pid].push_back(span);
     }
     for (std::size_t core = 0; core < result.cores.size(); ++core) {
@@ -473,20 +287,20 @@ TEST(TraceExport, RequestLevelAddsDramAndMmuTracks)
     obs.traceLevel = TraceLevel::Requests;
     runDualMix(obs);
 
-    JsonValue doc;
-    ASSERT_TRUE(JsonReader(readWholeFile(obs.traceOutPath)).parse(doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readWholeFile(obs.traceOutPath), doc));
     std::filesystem::remove(obs.traceOutPath);
-    const JsonValue *events = doc.find("traceEvents");
+    const json::Value *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     bool request_span = false, walk_span = false, dram_cmd = false;
-    for (const JsonValue &event : events->items) {
-        int pid = static_cast<int>(event.num("pid"));
-        if (event.str("cat") == "request" &&
+    for (const json::Value &event : events->items()) {
+        int pid = static_cast<int>(num(event, "pid"));
+        if (str(event, "cat") == "request" &&
             pid == TraceEventSink::kDramPid)
             request_span = true;
-        if (event.str("cat") == "walk" && pid == TraceEventSink::kMmuPid)
+        if (str(event, "cat") == "walk" && pid == TraceEventSink::kMmuPid)
             walk_span = true;
-        if (event.str("ph") == "i" && event.str("cat") == "cmd")
+        if (str(event, "ph") == "i" && str(event, "cat") == "cmd")
             dram_cmd = true;
     }
     EXPECT_TRUE(request_span);
@@ -501,16 +315,16 @@ TEST(TraceExport, LayersLevelSuppressesTilesAndRequests)
     obs.traceLevel = TraceLevel::Layers;
     runDualMix(obs);
 
-    JsonValue doc;
-    ASSERT_TRUE(JsonReader(readWholeFile(obs.traceOutPath)).parse(doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readWholeFile(obs.traceOutPath), doc));
     std::filesystem::remove(obs.traceOutPath);
     bool layer = false, tile = false, request = false;
-    for (const JsonValue &event : doc.find("traceEvents")->items) {
-        if (event.str("cat") == "layer")
+    for (const json::Value &event : doc.find("traceEvents")->items()) {
+        if (str(event, "cat") == "layer")
             layer = true;
-        if (event.str("cat") == "tile")
+        if (str(event, "cat") == "tile")
             tile = true;
-        if (event.str("cat") == "request")
+        if (str(event, "cat") == "request")
             request = true;
     }
     EXPECT_TRUE(layer);

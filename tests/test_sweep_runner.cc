@@ -722,12 +722,31 @@ TEST(SweepCheckpointTest, ParseRejectsTornAndForeignLines)
     EXPECT_FALSE(parseJsonLine("{\"key\":\"abc", record)); // torn tail
     EXPECT_FALSE(parseJsonLine("{\"status\":\"ok\"}", record)); // no key
     EXPECT_FALSE(parseJsonLine("not json at all", record));
+    // Not JSON, and never written by toJsonLine: a bare nan and a raw
+    // control byte inside a string.
+    EXPECT_FALSE(parseJsonLine(
+        "{\"key\":\"k\",\"wall_seconds\":nan}", record));
+    EXPECT_FALSE(parseJsonLine(
+        "{\"key\":\"k\",\"error\":\"a\x01\"}", record));
+    // The worker heartbeat shares the IPC wire but has no "key".
+    EXPECT_FALSE(parseJsonLine("{\"hb\":3}", record));
     // Unknown fields from a newer writer are skipped, not fatal.
     EXPECT_TRUE(parseJsonLine(
         "{\"key\":\"k1\",\"future_field\":[1,2,3],\"status\":\"ok\"}",
         record));
     EXPECT_EQ(record.key, "k1");
     EXPECT_EQ(record.status, SweepStatus::Ok);
+}
+
+TEST(SweepCheckpointTest, ParseRejectsDeepNestingWithoutCrashing)
+{
+    // A corrupt line nested a million deep must be "malformed", not a
+    // stack overflow that takes --resume or the supervisor down.
+    const std::string depth(1000000, '[');
+    const std::string line = "{\"key\":\"k\",\"x\":" + depth +
+                             std::string(depth.size(), ']') + "}";
+    SweepCheckpointRecord record;
+    EXPECT_FALSE(parseJsonLine(line, record));
 }
 
 TEST(SweepCheckpointTest, JobKeyDiscriminatesConfigMemArchAndModels)
