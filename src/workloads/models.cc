@@ -37,8 +37,10 @@ resnet(const std::string &name, std::uint32_t input,
         const Stage &stage = stages[s];
         for (std::uint32_t b = 0; b < blocks[s]; ++b) {
             std::uint32_t stride = (b == 0) ? stage.stride : 1;
-            std::string base =
-                "s" + std::to_string(s + 2) + "b" + std::to_string(b + 1);
+            std::string base = "s";
+            base += std::to_string(s + 2);
+            base += 'b';
+            base += std::to_string(b + 1);
             net.layers.push_back(Layer::conv(base + "_1x1a", spatial,
                                              spatial, in_c, 1, stage.mid,
                                              stride, 0));

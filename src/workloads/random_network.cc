@@ -14,13 +14,14 @@ randomNetwork(Rng &rng, const RandomNetOptions &options)
         fatal("randomNetwork: bad layer count range");
 
     Network net;
-    net.name =
-        "rand" + std::to_string(rng.range(0, 0xffffff));
+    net.name = "rand";
+    net.name += std::to_string(rng.range(0, 0xffffff));
     std::uint32_t layers = static_cast<std::uint32_t>(
         rng.range(options.minLayers, options.maxLayers));
 
     for (std::uint32_t i = 0; i < layers; ++i) {
-        std::string name = "L" + std::to_string(i);
+        std::string name = "L";
+        name += std::to_string(i);
         if (rng.uniform() < options.convProbability) {
             const std::uint32_t kernels[] = {1, 3, 3, 5};
             std::uint32_t k = kernels[rng.range(0, 3)];

@@ -203,8 +203,10 @@ TEST(PredictorTest, LearnsBandwidthAdditiveSlowdown)
     // Synthetic law: slowdown = 1 + bw_self * bw_other.
     std::vector<SoloProfile> profiles;
     for (int i = 0; i < 6; ++i) {
-        profiles.push_back(profile("p" + std::to_string(i), 1e6,
-                                   0.1 * (i + 1), 1e6 * 20 * (i + 1)));
+        std::string name = "p";
+        name += std::to_string(i);
+        profiles.push_back(profile(name, 1e6, 0.1 * (i + 1),
+                                   1e6 * 20 * (i + 1)));
     }
     CorunPredictor predictor;
     for (const auto &a : profiles) {
@@ -326,8 +328,9 @@ TEST(MappingEvaluatorTest, PerfectPredictorMatchesOracle)
     // then check that a predictor trained on that exact law picks the
     // oracle mapping.
     for (int i = 0; i < 8; ++i) {
-        profiles.push_back(profile("m" + std::to_string(i), 1e6,
-                                   0.1, 1e6 * (5 + 10.0 * i)));
+        std::string name = "m";
+        name += std::to_string(i);
+        profiles.push_back(profile(name, 1e6, 0.1, 1e6 * (5 + 10.0 * i)));
     }
     CorunPredictor predictor;
     for (std::uint32_t a = 0; a < 8; ++a) {

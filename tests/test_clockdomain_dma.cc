@@ -21,7 +21,8 @@ std::shared_ptr<const TraceGenerator>
 streamTrace(std::uint64_t freq_mhz)
 {
     ArchConfig arch;
-    arch.name = "s" + std::to_string(freq_mhz);
+    arch.name = "s";
+    arch.name += std::to_string(freq_mhz);
     arch.arrayRows = 8;
     arch.arrayCols = 8;
     arch.spmBytes = 256 << 10;

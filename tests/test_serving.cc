@@ -77,8 +77,9 @@ TEST(ServingArrivalTest, PoissonIsSeededSortedAndShaped)
 
         // Sorted by (arrivalCycle, id) with dense ids.
         EXPECT_EQ(first[i].id, static_cast<std::uint32_t>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(first[i].arrivalCycle, first[i - 1].arrivalCycle);
+        }
 
         // Shapes are drawn uniformly from [ceil(mean/2), mean].
         EXPECT_GE(first[i].promptTokens, 12u);
@@ -215,8 +216,9 @@ TEST(ServingWorkloadTest, Gpt2PhasesShareWeightsButNotKvCache)
                 << layer.name;
         }
         // Decode steps are single-token (M = 1).
-        if (i >= prefill_layers)
+        if (i >= prefill_layers) {
             EXPECT_EQ(layer.gemmM, 1u) << layer.name;
+        }
     }
 
     // The two requests' weight layers carry identical tag sequences.

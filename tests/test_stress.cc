@@ -101,8 +101,9 @@ TEST_P(StressTest, RandomConfigCompletesAndHoldsInvariants)
         // Upper bound: <=2 iterations and worst-case 64 B alignment
         // padding of very small ranges; 10x catches runaway re-issue.
         EXPECT_LE(data_bytes, 10 * expected);
-        if (!mem.translationEnabled)
+        if (!mem.translationEnabled) {
             EXPECT_EQ(core.walkBytes, 0u);
+        }
         // Layer finishes are monotone.
         Cycle previous = 0;
         for (Cycle finish : core.layerFinishLocal) {
