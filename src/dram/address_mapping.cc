@@ -1,6 +1,7 @@
 #include "dram/address_mapping.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -10,22 +11,21 @@ namespace mnpu
 
 AddressMapping::AddressMapping(const DramTiming &timing,
                                const std::string &order)
-    : timing_(timing), order_(order)
+    : offsetBits_(floorLog2(timing.transactionBytes()))
 {
-    offsetBits_ = floorLog2(timing.transactionBytes());
-
     struct Spec
     {
         const char *token;
-        char kind;
+        Slice *slice;
         std::uint32_t bits;
     };
     const Spec specs[] = {
-        {"ro", 'o', floorLog2(timing.rows)},
-        {"ra", 'r', floorLog2(std::max<std::uint32_t>(timing.ranks, 1))},
-        {"bg", 'g', floorLog2(timing.bankGroups)},
-        {"ba", 'b', floorLog2(timing.banksPerGroup)},
-        {"co", 'c',
+        {"ro", &row_, floorLog2(timing.rows)},
+        {"ra", &rank_,
+         floorLog2(std::max<std::uint32_t>(timing.ranks, 1))},
+        {"bg", &bankGroup_, floorLog2(timing.bankGroups)},
+        {"ba", &bank_, floorLog2(timing.banksPerGroup)},
+        {"co", &column_,
          floorLog2(static_cast<std::uint64_t>(timing.columnsPerRow()))},
     };
 
@@ -38,7 +38,7 @@ AddressMapping::AddressMapping(const DramTiming &timing,
 
     // Assign shifts from LSB: the last token sits just above the offset.
     std::uint32_t shift = 0;
-    std::vector<Field> reversed;
+    std::vector<const Spec *> seen;
     for (auto it = tokens.rbegin(); it != tokens.rend(); ++it) {
         const Spec *found = nullptr;
         for (const auto &spec : specs)
@@ -46,48 +46,26 @@ AddressMapping::AddressMapping(const DramTiming &timing,
                 found = &spec;
         if (found == nullptr)
             fatal("unknown address mapping field '", *it, "'");
-        for (const auto &existing : reversed)
-            if (existing.kind == found->kind)
-                fatal("duplicate address mapping field '", *it, "'");
-        reversed.push_back(Field{found->kind, found->bits, shift});
+        if (std::find(seen.begin(), seen.end(), found) != seen.end())
+            fatal("duplicate address mapping field '", *it, "'");
+        seen.push_back(found);
+        found->slice->shift = shift;
+        found->slice->mask =
+            found->bits >= 64 ? ~0ULL : ((1ULL << found->bits) - 1);
         shift += found->bits;
     }
-    fields_.assign(reversed.rbegin(), reversed.rend());
 }
 
 DramCoord
 AddressMapping::decode(Addr addr) const
 {
-    Addr body = addr >> offsetBits_;
+    const Addr body = addr >> offsetBits_;
     DramCoord coord;
-    for (const auto &field : fields_) {
-        std::uint64_t mask =
-            field.bits >= 64 ? ~0ULL : ((1ULL << field.bits) - 1);
-        std::uint64_t value = (body >> field.shift) & mask;
-        switch (field.kind) {
-          case 'o':
-            coord.row = value;
-            break;
-          case 'r':
-            coord.rank = static_cast<std::uint32_t>(value);
-            break;
-          case 'g':
-            coord.bankGroup = static_cast<std::uint32_t>(value);
-            break;
-          case 'b':
-            coord.bank = static_cast<std::uint32_t>(value);
-            break;
-          case 'c':
-            coord.column = value;
-            break;
-          default:
-            // Unreachable with a validated constructor, but if a new
-            // field token is ever added without a decode case, report
-            // it as a config error instead of aborting the process.
-            fatal("address mapping '", order_, "': field kind '",
-                  field.kind, "' has no decode rule");
-        }
-    }
+    coord.row = row_.of(body);
+    coord.rank = static_cast<std::uint32_t>(rank_.of(body));
+    coord.bankGroup = static_cast<std::uint32_t>(bankGroup_.of(body));
+    coord.bank = static_cast<std::uint32_t>(bank_.of(body));
+    coord.column = column_.of(body);
     return coord;
 }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "dram/dram_timing.hh"
@@ -60,18 +59,21 @@ class AddressMapping
     std::uint32_t offsetBits() const { return offsetBits_; }
 
   private:
-    struct Field
+    /** One field's bit slice of the offset-stripped address. */
+    struct Slice
     {
-        char kind;           // 'o' row, 'r' rank, 'g' group, 'b' bank,
-                             // 'c' column
-        std::uint32_t bits;
-        std::uint32_t shift; // from bit offsetBits_
+        std::uint32_t shift = 0; //!< from bit offsetBits_
+        std::uint64_t mask = 0;
+
+        std::uint64_t of(Addr body) const { return (body >> shift) & mask; }
     };
 
-    DramTiming timing_;
-    std::string order_; //!< original field string, kept for diagnostics
     std::uint32_t offsetBits_;
-    std::vector<Field> fields_;
+    Slice row_;
+    Slice rank_;
+    Slice bankGroup_;
+    Slice bank_;
+    Slice column_;
 };
 
 } // namespace mnpu
