@@ -15,6 +15,7 @@ NpuCore::NpuCore(const CoreConfig &config, const TraceGenerator &trace,
       dram_(dram),
       clock_(clock),
       tiles_(trace.tiles().size()),
+      inflightTx_(trace.arch().dmaMaxOutstanding),
       layerFinishLocal_(trace.layers().size(), 0),
       layerStartLocal_(trace.layers().size(), 0),
       stats_("core" + std::to_string(config.id)),
@@ -111,7 +112,7 @@ NpuCore::issueTransactions(Cycle now)
     bool work = false;
 
     while (budget > 0) {
-        if (static_cast<std::uint32_t>(inflightTx_.size()) >= max_out)
+        if (inflightTx_.size() >= max_out)
             break;
 
         // Stores drain first: they free SPM halves for the next loads.
@@ -141,7 +142,7 @@ NpuCore::issueTransactions(Cycle now)
                 ++nextSeq_;
                 // Stores are activation/output traffic by construction
                 // (C tensors); no tensor-map lookup needed.
-                inflightTx_.emplace(
+                inflightTx_.insert(
                     tag, TxInfo{storeTile_, MemOp::Write,
                                 MemRegion::Activation});
                 ++tiles_[storeTile_].storesOutstanding;
@@ -178,9 +179,9 @@ NpuCore::issueTransactions(Cycle now)
                 xlatBlocked_ = false;
                 loadCursor_ = probe;
                 ++nextSeq_;
-                inflightTx_.emplace(tag,
-                                    TxInfo{loadTile_, MemOp::Read,
-                                           trace_.regionOf(vaddr)});
+                inflightTx_.insert(tag,
+                                   TxInfo{loadTile_, MemOp::Read,
+                                          trace_.regionOf(vaddr)});
                 ++tiles_[loadTile_].loadsOutstanding;
                 ++xlatOutstanding_;
                 readTx_.inc();
@@ -358,35 +359,35 @@ NpuCore::tick(Cycle now)
 void
 NpuCore::onTranslation(std::uint64_t tag, Addr paddr, Cycle)
 {
-    auto it = inflightTx_.find(tag);
-    mnpu_assert(it != inflightTx_.end(), "translation for unknown tag");
+    const TxInfo *info = inflightTx_.find(tag);
+    mnpu_assert(info != nullptr, "translation for unknown tag");
     mnpu_assert(xlatOutstanding_ > 0);
     poked_ = true;
     --xlatOutstanding_;
     DramRequest request;
     request.paddr = paddr;
-    request.op = it->second.op;
+    request.op = info->op;
     request.core = config_.id;
     request.tag = tag;
-    request.region = it->second.region;
+    request.region = info->region;
     dramReady_.push_back(request);
 }
 
 void
 NpuCore::onDramCompletion(std::uint64_t tag, Cycle)
 {
-    auto it = inflightTx_.find(tag);
-    mnpu_assert(it != inflightTx_.end(), "DRAM completion for unknown tag");
+    const TxInfo *info = inflightTx_.find(tag);
+    mnpu_assert(info != nullptr, "DRAM completion for unknown tag");
     poked_ = true;
-    TileState &tile = tiles_[it->second.tile];
-    if (it->second.op == MemOp::Read) {
+    TileState &tile = tiles_[info->tile];
+    if (info->op == MemOp::Read) {
         mnpu_assert(tile.loadsOutstanding > 0);
         --tile.loadsOutstanding;
     } else {
         mnpu_assert(tile.storesOutstanding > 0);
         --tile.storesOutstanding;
     }
-    inflightTx_.erase(it);
+    inflightTx_.erase(tag);
 }
 
 Cycle
@@ -711,21 +712,7 @@ NpuCore::saveState(StateWriter &out) const
     out.u64(computeFreeLocal_);
 
     out.u64(nextSeq_);
-    // In-flight transactions sorted by tag for deterministic bytes
-    // (the map is lookup-only; iteration order never reaches timing).
-    std::vector<std::uint64_t> tags;
-    tags.reserve(inflightTx_.size());
-    for (const auto &entry : inflightTx_)
-        tags.push_back(entry.first);
-    std::sort(tags.begin(), tags.end());
-    out.u64(tags.size());
-    for (std::uint64_t tag : tags) {
-        const TxInfo &info = inflightTx_.at(tag);
-        out.u64(tag);
-        out.u32(info.tile);
-        out.u8(info.op == MemOp::Write ? 1 : 0);
-        out.u8(static_cast<std::uint8_t>(info.region));
-    }
+    inflightTx_.saveState(out);
     out.u64(dramReady_.size());
     for (const DramRequest &request : dramReady_) {
         out.u64(request.paddr);
@@ -793,16 +780,7 @@ NpuCore::loadState(StateReader &in)
     computeFreeLocal_ = in.u64();
 
     nextSeq_ = in.u64();
-    inflightTx_.clear();
-    std::uint64_t num_tx = in.u64();
-    for (std::uint64_t i = 0; i < num_tx; ++i) {
-        std::uint64_t tag = in.u64();
-        TxInfo info;
-        info.tile = in.u32();
-        info.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-        info.region = static_cast<MemRegion>(in.u8());
-        inflightTx_.emplace(tag, info);
-    }
+    inflightTx_.loadState(in);
     dramReady_.clear();
     std::uint64_t num_ready = in.u64();
     for (std::uint64_t i = 0; i < num_ready; ++i) {

@@ -18,13 +18,13 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock_domain.hh"
 #include "common/interval_tracer.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/inflight_window.hh"
 #include "mem/memory_backend.hh"
 #include "mmu/mmu.hh"
 #include "sw/trace_generator.hh"
@@ -221,13 +221,7 @@ class NpuCore
         bool primed = false;
     };
 
-    struct TxInfo
-    {
-        std::uint32_t tile;
-        MemOp op;
-        /** Placement class from the tensor map (tiered routing). */
-        MemRegion region = MemRegion::Activation;
-    };
+    using TxInfo = InflightWindow::Info;
 
     bool cursorNext(RangeCursor &cursor,
                     const std::vector<AccessRange> &ranges, Addr &out);
@@ -270,7 +264,12 @@ class NpuCore
     Cycle computeFreeLocal_ = 0;
 
     std::uint64_t nextSeq_ = 0;
-    std::unordered_map<std::uint64_t, TxInfo> inflightTx_;
+    /**
+     * In-flight transactions by sequence number (see InflightWindow):
+     * sized to dmaMaxOutstanding, allocated on the first exact issue,
+     * doubled when out-of-order completions widen the sequence span.
+     */
+    InflightWindow inflightTx_;
     std::deque<DramRequest> dramReady_; //!< translated, awaiting DRAM
     std::uint32_t xlatOutstanding_ = 0;
 

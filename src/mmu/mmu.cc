@@ -31,6 +31,8 @@ Mmu::Mmu(const MmuConfig &config, PageAllocator &allocator,
       walkLatency_(stats_.distribution("walk_latency")),
       walkQueueDelay_(stats_.distribution("walk_queue_delay"))
 {
+    walkersIn_[static_cast<std::size_t>(WalkerState::Idle)] =
+        config.totalPtws;
     if (config.numCores == 0)
         fatal("MMU needs at least one core");
     if (config.totalPtws == 0 && config.translationEnabled)
@@ -211,7 +213,7 @@ Mmu::completeTranslation(const PendingXlat &xlat, Cycle when)
     Addr paddr = allocator_.translate(xlat.asid, xlat.vaddr);
     if (injector_ && injector_->fire(FaultSite::PteCorrupt))
         paddr ^= allocator_.pageBytes(); // flip one frame bit
-    if (checkTranslations_) {
+    if (consistencyChecks_) {
         const Addr expected = allocator_.translate(xlat.asid, xlat.vaddr);
         if (paddr != expected)
             throw SimulationError(
@@ -268,6 +270,8 @@ Mmu::canGrabWalker(CoreId core) const
 void
 Mmu::releaseFinishedWalkers(Cycle now)
 {
+    if (walkersIn(WalkerState::Finished) == 0)
+        return;
     for (std::uint32_t id = 0; id < walkers_.size(); ++id) {
         Walker &walker = walkers_[id];
         if (walker.state != WalkerState::Finished ||
@@ -294,7 +298,7 @@ Mmu::releaseFinishedWalkers(Cycle now)
         mnpu_assert(inFlightPerCore_[walker.core] > 0);
         --inFlightPerCore_[walker.core];
         --totalInFlight_;
-        walker.state = WalkerState::Idle;
+        setWalkerState(walker, WalkerState::Idle);
     }
 }
 
@@ -430,7 +434,7 @@ Mmu::startWalks(Cycle now)
             mnpu_assert(walker_it != walkers_.end(),
                         "occupancy says a walker is free but none is idle");
             Walker &walker = *walker_it;
-            walker.state = WalkerState::WaitIssue;
+            setWalkerState(walker, WalkerState::WaitIssue);
             walker.core = request.core;
             walker.asid = request.asid;
             walker.vpn = request.vpn;
@@ -458,6 +462,8 @@ Mmu::startWalks(Cycle now)
 void
 Mmu::driveWalkers(Cycle now)
 {
+    if (walkersIn(WalkerState::WaitIssue) == 0)
+        return;
     for (std::uint32_t id = 0; id < walkers_.size(); ++id) {
         Walker &walker = walkers_[id];
         if (walker.state != WalkerState::WaitIssue)
@@ -469,7 +475,7 @@ Mmu::driveWalkers(Cycle now)
         request.tag = walkTag(id);
         request.priority = true;
         if (dram_.tryEnqueue(request, now)) {
-            walker.state = WalkerState::WaitDram;
+            setWalkerState(walker, WalkerState::WaitDram);
             if (walker.core < walkSteps_.size())
                 ++walkSteps_[walker.core];
         }
@@ -486,6 +492,28 @@ Mmu::tick(Cycle now)
     processPending(now);
     startWalks(now);
     driveWalkers(now);
+    if (consistencyChecks_)
+        checkWalkerCounts();
+}
+
+void
+Mmu::checkWalkerCounts() const
+{
+    static constexpr const char *kNames[] = {"Idle", "WaitIssue",
+                                             "WaitDram", "Finished"};
+    std::array<std::uint32_t, 4> counted{};
+    for (const Walker &walker : walkers_)
+        ++counted[static_cast<std::size_t>(walker.state)];
+    for (std::size_t state = 0; state < counted.size(); ++state) {
+        if (counted[state] != walkersIn_[state]) {
+            throw SimulationError(
+                SimErrorKind::MmuConsistency,
+                detail::concat("walker count check: ", counted[state],
+                               " walkers in ", kNames[state],
+                               " but the kept count is ",
+                               walkersIn_[state]));
+        }
+    }
 }
 
 void
@@ -500,10 +528,10 @@ Mmu::onDramCompletion(std::uint64_t tag, Cycle at)
     poked_ = true;
     ++walker.level;
     if (walker.level >= walker.pathLength) {
-        walker.state = WalkerState::Finished;
+        setWalkerState(walker, WalkerState::Finished);
         walker.finishedAt = at;
     } else {
-        walker.state = WalkerState::WaitIssue;
+        setWalkerState(walker, WalkerState::WaitIssue);
     }
 }
 
@@ -518,10 +546,7 @@ Mmu::busy() const
     for (const auto &queue : pending_)
         if (!queue.empty())
             return true;
-    for (const auto &walker : walkers_)
-        if (walker.state != WalkerState::Idle)
-            return true;
-    return false;
+    return walkersIn(WalkerState::Idle) != walkers_.size();
 }
 
 Cycle
@@ -539,10 +564,8 @@ Mmu::nextEventCycle(Cycle now) const
             return now + 1;
         next = std::min(next, ready);
     }
-    for (const auto &walker : walkers_) {
-        if (walker.state == WalkerState::Finished)
-            return now + 1;
-    }
+    if (walkersIn(WalkerState::Finished) > 0)
+        return now + 1;
     return next;
 }
 
@@ -677,11 +700,13 @@ Mmu::loadState(StateReader &in)
     walkRoundRobin_ = in.u32();
     if (in.u64() != walkers_.size())
         throw SnapshotError("MMU walker count mismatch");
+    walkersIn_.fill(0);
     for (Walker &walker : walkers_) {
         std::uint8_t state = in.u8();
         if (state > static_cast<std::uint8_t>(WalkerState::Finished))
             throw SnapshotError("bad walker state in snapshot");
         walker.state = static_cast<WalkerState>(state);
+        ++walkersIn_[state];
         walker.core = in.u32();
         walker.asid = in.u32();
         walker.vpn = in.u64();

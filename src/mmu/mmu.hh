@@ -18,6 +18,7 @@
 #ifndef MNPU_MMU_MMU_HH
 #define MNPU_MMU_MMU_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -193,10 +194,7 @@ class Mmu
      */
     bool hasBlockedWalks() const
     {
-        for (const auto &walker : walkers_)
-            if (walker.state == WalkerState::WaitIssue)
-                return true;
-        return false;
+        return walkersIn(WalkerState::WaitIssue) > 0;
     }
 
     /** Translate without timing (also used when translation is off). */
@@ -214,11 +212,19 @@ class Mmu
 
     /**
      * Integrity layer (full level): re-derive every completed
-     * translation from the page table and throw
+     * translation from the page table, and recount the walkers per
+     * state after every tick (checkWalkerCounts), throwing
      * SimulationError{MmuConsistency} on a mismatch (a corrupted PTE
-     * or stale TLB entry would otherwise silently mis-route traffic).
+     * or stale TLB entry would otherwise silently mis-route traffic; a
+     * stale walker count would skip a release or a retry).
      */
-    void enableTranslationCheck() { checkTranslations_ = true; }
+    void enableConsistencyChecks() { consistencyChecks_ = true; }
+
+    /**
+     * Recount the walkers in each state by a full scan and throw
+     * SimulationError{MmuConsistency} when a kept count disagrees.
+     */
+    void checkWalkerCounts() const;
 
     /** Attach the fault injector (pte-corrupt site). Not owned. */
     void setFaultInjector(FaultInjector *injector) { injector_ = injector; }
@@ -332,6 +338,18 @@ class Mmu
         return (std::uint64_t{1} << 63) | walker_id;
     }
 
+    std::uint32_t walkersIn(WalkerState state) const
+    {
+        return walkersIn_[static_cast<std::size_t>(state)];
+    }
+    /** The one place a walker changes state (keeps walkersIn_). */
+    void setWalkerState(Walker &walker, WalkerState state)
+    {
+        --walkersIn_[static_cast<std::size_t>(walker.state)];
+        ++walkersIn_[static_cast<std::size_t>(state)];
+        walker.state = state;
+    }
+
     Tlb &tlbFor(CoreId core);
     bool canGrabWalker(CoreId core) const;
     void completeTranslation(const PendingXlat &xlat, Cycle when);
@@ -358,6 +376,13 @@ class Mmu
     std::vector<std::deque<WalkRequest>> walkQueues_;
     CoreId walkRoundRobin_ = 0;
     std::vector<Walker> walkers_;
+    /**
+     * Walkers per WalkerState, so the passes that act only on Finished
+     * or WaitIssue walkers (release, drive, the event bound,
+     * hasBlockedWalks) return at once when there are none. Derived from
+     * walkers_: not serialized, rebuilt by loadState.
+     */
+    std::array<std::uint32_t, 4> walkersIn_{};
     std::vector<std::uint32_t> inFlightPerCore_;
     std::uint32_t totalInFlight_ = 0;
     std::vector<std::uint32_t> staticQuota_;
@@ -369,7 +394,7 @@ class Mmu
     bool poked_ = false;
     bool pendingDrained_ = false;
 
-    bool checkTranslations_ = false;
+    bool consistencyChecks_ = false;
     FaultInjector *injector_ = nullptr;
     TraceEventSink *traceSink_ = nullptr;
     std::vector<std::uint64_t> walkSteps_; //!< per core, issued to DRAM

@@ -217,7 +217,7 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &config,
     }
     if (checkLevel_ == CheckLevel::Full) {
         mem_->enableProtocolChecks();
-        mmu_->enableTranslationCheck();
+        mmu_->enableConsistencyChecks();
     }
     mem_->setIntegrity(tracker_.get(), injector_.get());
     if (injector_) {

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/snapshot.hh"
 #include "dram/dram_system.hh"
 #include "mmu/mmu.hh"
 #include "mmu/paging.hh"
@@ -603,6 +605,69 @@ TEST(MmuTest, ManyPagesAllTranslateExactlyOnceEach)
     std::set<Addr> frames;
     for (const auto &[t, pa] : h.translated)
         EXPECT_TRUE(frames.insert(pa & ~Addr{4095}).second);
+}
+
+TEST(MmuTest, WalkerStateCountsMatchFullScan)
+{
+    // One channel with a 2-deep queue behind 8 walkers: walk steps are
+    // refused often, so walkers sit in every state, including
+    // WaitIssue. After every tick and after every snapshot restore the
+    // kept per-state counts must equal a full scan of the walkers.
+    DramSystem dram(DramTiming::hbm2(), 1, 2, 2);
+    PageAllocator allocator(0, 256ULL << 20, 4096);
+    PageTableModel table(allocator);
+    MmuConfig config;
+    config.numCores = 2;
+    config.ptwMode = PtwPartitionMode::Shared;
+    std::unique_ptr<Mmu> mmu =
+        std::make_unique<Mmu>(config, allocator, table, dram);
+    dram.setCallback([&mmu](const DramRequest &request, Cycle at) {
+        mmu->onDramCompletion(request.tag, at);
+    });
+    std::uint64_t translated = 0;
+    auto count_translation = [&translated](std::uint64_t, Addr, Cycle) {
+        ++translated;
+    };
+    mmu->setCallback(count_translation);
+
+    const std::uint64_t pages = 400;
+    std::uint64_t submitted = 0;
+    std::uint64_t restores = 0;
+    bool saw_blocked = false;
+    Cycle now = 0;
+    while (submitted < 2 * pages || mmu->busy() || dram.busy()) {
+        for (CoreId core = 0; core < 2 && submitted < 2 * pages; ++core) {
+            if (mmu->requestTranslation(core, core, (submitted / 2) << 12,
+                                        submitted, now)) {
+                ++submitted;
+            }
+        }
+        dram.tick(now);
+        mmu->tick(now);
+        ASSERT_NO_THROW(mmu->checkWalkerCounts()) << "cycle " << now;
+        saw_blocked |= mmu->hasBlockedWalks();
+        if (now % 97 == 0 && mmu->busy()) {
+            StateWriter out;
+            mmu->saveState(out);
+            auto restored =
+                std::make_unique<Mmu>(config, allocator, table, dram);
+            StateReader in(out.bytes());
+            restored->loadState(in);
+            ASSERT_NO_THROW(restored->checkWalkerCounts())
+                << "restore at cycle " << now;
+            EXPECT_EQ(restored->hasBlockedWalks(), mmu->hasBlockedWalks());
+            EXPECT_EQ(restored->nextEventCycle(now),
+                      mmu->nextEventCycle(now));
+            restored->setCallback(count_translation);
+            mmu = std::move(restored);
+            ++restores;
+        }
+        ++now;
+        ASSERT_LT(now, 2000000u) << "MMU stuck";
+    }
+    EXPECT_EQ(translated, 2 * pages);
+    EXPECT_TRUE(saw_blocked);
+    EXPECT_GT(restores, 10u);
 }
 
 } // namespace
