@@ -289,18 +289,31 @@ loadSweepCheckpoint(const std::string &path)
     std::string line;
     std::size_t lineno = 0;
     std::size_t malformed = 0;
+    std::size_t legacy = 0;
     while (std::getline(file, line)) {
         ++lineno;
         if (trim(line).empty())
             continue;
         SweepCheckpointRecord record;
-        if (parseJsonLine(line, record)) {
-            records[record.key] = std::move(record);
-        } else {
+        if (!parseJsonLine(line, record)) {
             ++malformed;
             warn("checkpoint '", path, "' line ", lineno,
                  ": malformed record skipped");
+        } else if (record.status == SweepStatus::Ok &&
+                   record.version < kSweepCheckpointVersion) {
+            // An ok record from an older format lacks the raw
+            // telemetry; restoring it would hand benches zeroed
+            // counters, so leave it out and let resume re-execute.
+            records.erase(record.key);
+            ++legacy;
+        } else {
+            records[record.key] = std::move(record);
         }
+    }
+    if (legacy) {
+        warn("checkpoint '", path, "': ", legacy,
+             " completed record(s) predate the full-telemetry format (v",
+             kSweepCheckpointVersion, "); re-executing their jobs");
     }
     if (malformed > 1) {
         // One torn trailing line is the expected kill signature; more

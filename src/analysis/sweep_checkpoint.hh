@@ -193,7 +193,10 @@ class SweepCheckpointWriter
  * Load every well-formed record of @p path, keyed by record.key (the
  * last occurrence wins, so a retried-and-recompleted job supersedes
  * its earlier entry). A missing file is an empty checkpoint, not an
- * error; malformed lines are skipped with a warn().
+ * error; malformed lines are skipped with a warn(). An ok record
+ * older than kSweepCheckpointVersion is left out (one warn() counts
+ * them), so resume re-executes its job; parseJsonLine() itself still
+ * accepts old lines.
  */
 std::map<std::string, SweepCheckpointRecord>
 loadSweepCheckpoint(const std::string &path);

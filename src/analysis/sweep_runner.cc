@@ -458,7 +458,6 @@ SweepRunner::run(
     std::vector<SweepRecord> records(jobs.size());
     std::vector<std::size_t> pending;
     pending.reserve(jobs.size());
-    std::size_t legacy = 0;
     for (std::size_t index = 0; index < jobs.size(); ++index) {
         if (sharding && shardOfSweepKey(keys[index],
                                         options.shardCount) !=
@@ -477,25 +476,13 @@ SweepRunner::run(
         auto it = completed.empty() ? completed.end()
                                     : completed.find(keys[index]);
         if (it != completed.end() &&
-            it->second.status == SweepStatus::Ok &&
-            it->second.version >= kSweepCheckpointVersion) {
+            it->second.status == SweepStatus::Ok) {
             records[index].status = SweepStatus::Skipped;
             records[index].outcome = restoredOutcome(it->second);
             records[index].wallSeconds = 0;
         } else {
-            // An ok record from an older format lacks the raw
-            // telemetry; restoring it would hand benches zeroed
-            // counters, so re-execute instead.
-            if (it != completed.end() &&
-                it->second.status == SweepStatus::Ok)
-                ++legacy;
             pending.push_back(index);
         }
-    }
-    if (legacy) {
-        warn("checkpoint '", options.checkpointPath, "': ", legacy,
-             " completed job(s) predate the full-telemetry format (v",
-             kSweepCheckpointVersion, "); re-executing them");
     }
 
     std::unique_ptr<SweepCheckpointWriter> writer;
@@ -539,49 +526,139 @@ SweepRunner::run(
             });
     }
 
-    // --- The contained parallel phase. ---
+    // --- The contained parallel phase: one job lifecycle (attempt,
+    // escalate, settle) for both isolation modes, which differ only in
+    // where an attempt runs — a pool thread or a forked child. ---
     std::mutex controlMutex; //!< guards done counter + completed times
     std::size_t done = jobs.size() - pending.size();
     std::vector<double> completedTimes;
 
-    auto adaptiveWallBudget = [&]() -> double {
+    // An attempt's wall budget: explicit, or adaptive once >= 3 jobs
+    // completed; a retry gets double the adaptive budget.
+    auto wallBudgetFor = [&](std::size_t, std::uint32_t attempt) {
         if (!adaptive_budget)
             return explicit_budget ? options.jobTimeoutSeconds : 0;
         std::lock_guard<std::mutex> lock(controlMutex);
         if (completedTimes.size() < 3)
-            return 0; // not enough signal yet: unlimited
+            return 0.0; // not enough signal yet: unlimited
         std::vector<double> times = completedTimes;
         auto mid = times.begin() +
                    static_cast<std::ptrdiff_t>(times.size() / 2);
         std::nth_element(times.begin(), mid, times.end());
-        return std::max(options.budgetMultiplier * *mid, 0.25);
+        const double budget =
+            std::max(options.budgetMultiplier * *mid, 0.25);
+        return attempt > 1 ? 2 * budget : budget;
     };
 
-    auto finishOne = [&](std::size_t index, double wall_seconds) {
+    // One escalating-budget retry of an adaptive wall-clock timeout on
+    // the first attempt: the median can undershoot genuinely heavy
+    // mixes. A cycle-budget timeout is final — it would hit the same
+    // cap again.
+    auto escalates = [&](std::uint32_t attempt, SweepStatus status,
+                         const std::string &error) {
+        return adaptive_budget && attempt == 1 &&
+               status == SweepStatus::TimedOut &&
+               error.rfind(toString(SimErrorKind::WallClockTimeout), 0) ==
+                   0;
+    };
+
+    // One attempt of job @p index: fills the record's status, error,
+    // outcome and wall clock, and returns the caught exception (null
+    // when ok).
+    auto attemptJob = [&](std::size_t index, std::uint32_t attempt,
+                          double wall_budget,
+                          SweepRecord &record) -> std::exception_ptr {
+        const SweepJob &job = jobs[index];
+        // Worker* and snapshot drill plans never reach the simulation:
+        // they must not force the exact-fidelity fallback an armed
+        // injector implies.
+        SystemConfig config = job.config;
+        if (!perturbsSimulation(config.faultPlan.site))
+            config.faultPlan = FaultPlan{};
+        const auto attempt_start = SteadyClock::now();
+        RunBudget budget;
+        budget.wallClockSeconds = wall_budget;
+        if (!options.snapshotDir.empty()) {
+            // Per-job durable snapshot (DESIGN.md §12), keyed like the
+            // checkpoint so a retried or resumed job finds its own
+            // file. The cadence never feeds sweepJobKey — snapshot
+            // writes are passive.
+            budget.snapshot.path =
+                options.snapshotDir + "/" + keys[index] + ".snap";
+            budget.snapshot.everyCycles = options.snapshotEveryCycles;
+            budget.snapshot.everySeconds = options.snapshotEverySeconds;
+        }
+        if (isolation == IsolationMode::Process) {
+            // Liveness: the run loop beats into the scratch file so
+            // the supervisor's lease extends while the job computes.
+            // The parent's stop token is a fork-time copy that never
+            // updates; the supervisor cancels via SIGTERM instead.
+            budget.heartbeat = processPoolHeartbeat;
+            if (budget.snapshot.enabled() && attempt == 1) {
+                // Snapshot drills SIGKILL the process, so they fire
+                // only in a forked child, and on the first attempt
+                // only, so the retry proves the recovery path: kill →
+                // resume from the snapshot; corrupt → checksum
+                // rejection → from-scratch fallback. The supervisor
+                // contains both as an ordinary crash retry, never a
+                // quarantine.
+                const FaultPlan &drill = job.config.faultPlan;
+                if (drill.site == FaultSite::SnapshotKill)
+                    budget.snapshot.killNth = drill.triggerCount;
+                if (drill.site == FaultSite::SnapshotCorrupt)
+                    budget.snapshot.corruptNth = drill.triggerCount;
+            }
+        } else {
+            budget.stopToken = options.stopToken;
+        }
+        std::exception_ptr failure;
+        try {
+            record.outcome = context.runMix(config, job.models, budget);
+            record.status = SweepStatus::Ok;
+            record.error.clear();
+        } catch (const SimulationError &error) {
+            // A cancelled job is Skipped, never checkpointed: a later
+            // resume re-runs it.
+            record.status = error.kind() == SimErrorKind::Cancelled
+                                ? SweepStatus::Skipped
+                            : error.isBudget() ? SweepStatus::TimedOut
+                                               : SweepStatus::Failed;
+            record.error = detail::concat(toString(error.kind()), ": ",
+                                          error.what());
+            failure = std::current_exception();
+        } catch (const std::exception &error) {
+            record.status = SweepStatus::Failed;
+            record.error = error.what();
+            failure = std::current_exception();
+        }
+        if (failure)
+            record.outcome = failedOutcome(job.models);
+        record.wallSeconds = secondsSince(attempt_start);
+        return failure;
+    };
+
+    // Settle a finished job: checkpoint it unless it was cancelled,
+    // then count it done. @p wire, when given, is the worker's own
+    // checkpoint line for the record, appended as is.
+    auto settle = [&](std::size_t index,
+                      const SweepCheckpointRecord *wire) {
+        const SweepRecord &record = records[index];
+        if (writer && record.status != SweepStatus::Skipped) {
+            if (wire)
+                writer->append(*wire);
+            else
+                writer->append(checkpointRecordOf(keys[index], record));
+        }
         std::lock_guard<std::mutex> lock(controlMutex);
-        if (records[index].status == SweepStatus::Ok)
-            completedTimes.push_back(wall_seconds);
+        if (record.status == SweepStatus::Ok)
+            completedTimes.push_back(record.wallSeconds);
         if (progress)
             progress(++done, jobs.size());
     };
 
-    std::vector<std::exception_ptr> errors;
+    std::vector<std::exception_ptr> failures; //!< thread mode, by pending
     std::size_t worker_crash_total = 0;
     double worker_backoff_total = 0;
-
-    // Per-job durable snapshot (DESIGN.md §12), keyed like the
-    // checkpoint so a retried or resumed job finds its own file. The
-    // cadence never feeds sweepJobKey — snapshot writes are passive.
-    auto snapshotPolicyFor = [&](std::size_t index) {
-        SnapshotPolicy policy;
-        if (options.snapshotDir.empty())
-            return policy;
-        policy.path =
-            options.snapshotDir + "/" + keys[index] + ".snap";
-        policy.everyCycles = options.snapshotEveryCycles;
-        policy.everySeconds = options.snapshotEverySeconds;
-        return policy;
-    };
 
     if (isolation == IsolationMode::Process && !pending.empty()) {
         // --- Process isolation: each attempt is a forked single-job
@@ -594,16 +671,14 @@ SweepRunner::run(
         poolOptions.cpuSeconds = options.workerCpuSeconds;
         poolOptions.stopToken = options.stopToken;
 
-        ProcessPool::Worker childWorker =
-            [&](std::size_t pending_index, std::uint32_t attempt,
-                double wallBudget) -> SweepCheckpointRecord {
+        auto childWorker = [&](std::size_t pending_index,
+                               std::uint32_t attempt, double wall_budget) {
             const std::size_t index = pending[pending_index];
-            const SweepJob &job = jobs[index];
             // The Worker* drill sites fire here — in the forked
             // child, before any simulation — on every attempt up to
             // triggerCount (each attempt is a fresh process, so the
             // attempt number IS the opportunity counter).
-            const FaultPlan &drill = job.config.faultPlan;
+            const FaultPlan &drill = jobs[index].config.faultPlan;
             if (drill.site == FaultSite::WorkerCrash &&
                 attempt <= drill.triggerCount) {
                 if (drill.delayCycles >= 1 && drill.delayCycles <= 31)
@@ -622,196 +697,74 @@ SweepRunner::run(
                     std::memset(block, 0xab, 1 << 20);
                 }
             }
-            SystemConfig config = job.config;
-            if (!perturbsSimulation(config.faultPlan.site))
-                config.faultPlan = FaultPlan{};
             SweepRecord record;
-            const auto job_start = SteadyClock::now();
-            RunBudget budget;
-            budget.maxGlobalCycles = options.jobMaxCycles;
-            budget.wallClockSeconds = wallBudget;
-            budget.snapshot = snapshotPolicyFor(index);
-            // Liveness: the run loop beats into the scratch file so
-            // the supervisor's lease extends while the job computes.
-            budget.heartbeat = processPoolHeartbeat;
-            if (budget.snapshot.enabled() && attempt == 1) {
-                // Snapshot drills fire on the first attempt only, so
-                // the retry proves the recovery path: kill → resume
-                // from the snapshot; corrupt → checksum rejection →
-                // from-scratch fallback. Both die by SIGKILL, which
-                // the supervisor contains as an ordinary crash retry,
-                // never a quarantine.
-                if (drill.site == FaultSite::SnapshotKill)
-                    budget.snapshot.killNth = drill.triggerCount;
-                if (drill.site == FaultSite::SnapshotCorrupt)
-                    budget.snapshot.corruptNth = drill.triggerCount;
-            }
-            // The parent's stop token is a fork-time copy that never
-            // updates; the supervisor cancels via SIGTERM instead.
-            try {
-                record.outcome =
-                    context.runMix(config, job.models, budget);
-                record.status = SweepStatus::Ok;
-            } catch (const SimulationError &error) {
-                record.status = error.isBudget()
-                                    ? SweepStatus::TimedOut
-                                    : SweepStatus::Failed;
-                record.error = detail::concat(toString(error.kind()),
-                                              ": ", error.what());
-                record.outcome = failedOutcome(job.models);
-            } catch (const std::exception &error) {
-                record.status = SweepStatus::Failed;
-                record.error = error.what();
-                record.outcome = failedOutcome(job.models);
-            }
-            record.wallSeconds = secondsSince(job_start);
+            attemptJob(index, attempt, wall_budget, record);
             return checkpointRecordOf(keys[index], record);
         };
 
-        ProcessPool::Budget attemptBudget =
-            [&](std::size_t, std::uint32_t attempt) {
-                double base = adaptiveWallBudget();
-                if (adaptive_budget && attempt > 1 && base > 0)
-                    base *= 2; // escalated retry gets a bigger budget
-                return base;
-            };
-
-        ProcessPool::RetryReported retryTimeout =
+        auto escalatesReported =
             [&](std::size_t, std::uint32_t attempt,
                 const SweepCheckpointRecord &record) {
-                // Mirror thread mode: one escalating-budget retry of
-                // an adaptive *wall-clock* timeout (a cycle-budget
-                // timeout would just hit the same cap again).
-                return adaptive_budget && attempt == 1 &&
-                       record.status == SweepStatus::TimedOut &&
-                       record.error.rfind("wall-clock-timeout", 0) == 0;
+                return escalates(attempt, record.status, record.error);
             };
 
-        ProcessPool::Complete completeOne =
-            [&](std::size_t pending_index,
-                const ProcessPool::Outcome &outcome) {
-                const std::size_t index = pending[pending_index];
-                SweepRecord &record = records[index];
-                record.attempts = outcome.attempts;
-                worker_crash_total += outcome.crashes;
-                worker_backoff_total += outcome.backoffSeconds;
-                if (outcome.cancelled) {
-                    // Not checkpointed: a later resume re-runs it.
-                    record.status = SweepStatus::Skipped;
-                    record.error = detail::concat(
-                        toString(SimErrorKind::Cancelled),
-                        ": stop requested");
-                    record.outcome = failedOutcome(jobs[index].models);
-                    record.wallSeconds = outcome.wallSeconds;
-                    finishOne(index, record.wallSeconds);
-                    return;
-                }
-                if (outcome.reported) {
-                    // The worker's verdict, ok or contained failure,
-                    // restored from the wire record.
-                    record.status = outcome.record.status;
-                    record.error = outcome.record.error;
-                    record.wallSeconds = outcome.record.wallSeconds;
-                    record.outcome =
-                        record.status == SweepStatus::Ok
-                            ? restoredOutcome(outcome.record)
-                            : failedOutcome(jobs[index].models);
-                    if (writer)
-                        writer->append(outcome.record);
-                    finishOne(index, record.wallSeconds);
-                    return;
-                }
-                // Quarantine: every attempt died hard. Checkpointed
-                // (durable audit trail); resume re-executes it, since
-                // only ok records restore.
+        auto completeOne = [&](std::size_t pending_index,
+                               const ProcessPool::Outcome &outcome) {
+            const std::size_t index = pending[pending_index];
+            SweepRecord &record = records[index];
+            record.attempts = outcome.attempts;
+            worker_crash_total += outcome.crashes;
+            worker_backoff_total += outcome.backoffSeconds;
+            if (outcome.reported) {
+                // The worker's verdict, ok or contained failure,
+                // restored from the wire record.
+                record.status = outcome.record.status;
+                record.error = outcome.record.error;
+                record.wallSeconds = outcome.record.wallSeconds;
+                record.outcome = record.status == SweepStatus::Ok
+                                     ? restoredOutcome(outcome.record)
+                                     : failedOutcome(jobs[index].models);
+                settle(index, &outcome.record);
+                return;
+            }
+            // Cancelled, or quarantined because every attempt died
+            // hard. A quarantine is checkpointed (durable audit
+            // trail); resume re-executes it, since only ok records
+            // restore.
+            if (outcome.cancelled) {
+                record.status = SweepStatus::Skipped;
+                record.error = detail::concat(
+                    toString(SimErrorKind::Cancelled), ": stop requested");
+            } else {
                 record.status = SweepStatus::Crashed;
                 record.error = detail::concat(
                     toString(SimErrorKind::WorkerCrash), ": ",
                     outcome.crashError);
-                record.outcome = failedOutcome(jobs[index].models);
-                record.wallSeconds = outcome.wallSeconds;
-                if (writer)
-                    writer->append(
-                        checkpointRecordOf(keys[index], record));
-                finishOne(index, record.wallSeconds);
-            };
+            }
+            record.outcome = failedOutcome(jobs[index].models);
+            record.wallSeconds = outcome.wallSeconds;
+            settle(index, nullptr);
+        };
 
         ProcessPool workerPool(poolOptions);
-        workerPool.run(pending.size(), childWorker, attemptBudget,
-                       retryTimeout, completeOne);
+        workerPool.run(pending.size(), childWorker, wallBudgetFor,
+                       escalatesReported, completeOne);
     } else {
-    errors = pool_.parallelForCollect(
-        pending.size(), [&](std::size_t pending_index) {
+        failures.resize(pending.size());
+        pool_.parallelFor(pending.size(), [&](std::size_t pending_index) {
             const std::size_t index = pending[pending_index];
-            const SweepJob &job = jobs[index];
-            // Worker* drill plans never reach the simulation: they
-            // are inert in thread mode (their whole point is that
-            // only process mode can contain them) and must not force
-            // the exact-fidelity fallback an armed injector implies.
-            SystemConfig config = job.config;
-            if (!perturbsSimulation(config.faultPlan.site))
-                config.faultPlan = FaultPlan{};
             SweepRecord &record = records[index];
             const auto job_start = SteadyClock::now();
-
-            double wall_budget = adaptiveWallBudget();
-            std::exception_ptr failure;
-            for (std::uint32_t attempt = 1;; ++attempt) {
-                RunBudget budget;
-                budget.maxGlobalCycles = options.jobMaxCycles;
-                budget.wallClockSeconds = wall_budget;
-                budget.stopToken = options.stopToken;
-                // Snapshot drills stay inert here (like the Worker*
-                // sites): they SIGKILL the process, which only the
-                // forked-worker mode can contain.
-                budget.snapshot = snapshotPolicyFor(index);
-                record.attempts = attempt;
-                try {
-                    record.outcome = context.runMix(config,
-                                                    job.models, budget);
-                    record.status = SweepStatus::Ok;
-                    record.error.clear();
+            for (record.attempts = 1;; ++record.attempts) {
+                failures[pending_index] = attemptJob(
+                    index, record.attempts,
+                    wallBudgetFor(pending_index, record.attempts), record);
+                if (!escalates(record.attempts, record.status,
+                               record.error))
                     break;
-                } catch (const SimulationError &error) {
-                    if (error.kind() == SimErrorKind::Cancelled) {
-                        // Not checkpointed: a later resume re-runs it.
-                        record.status = SweepStatus::Skipped;
-                        record.error = detail::concat(
-                            toString(error.kind()), ": ", error.what());
-                        record.outcome = failedOutcome(job.models);
-                        record.wallSeconds = secondsSince(job_start);
-                        finishOne(index, record.wallSeconds);
-                        return;
-                    }
-                    if (error.isBudget() && adaptive_budget &&
-                        wall_budget > 0 && attempt == 1) {
-                        // One escalating-budget retry: the median can
-                        // undershoot genuinely heavy mixes.
-                        wall_budget *= 2;
-                        continue;
-                    }
-                    record.status = error.isBudget()
-                                        ? SweepStatus::TimedOut
-                                        : SweepStatus::Failed;
-                    record.error = detail::concat(
-                        toString(error.kind()), ": ", error.what());
-                    record.outcome = failedOutcome(job.models);
-                    failure = std::current_exception();
-                    break;
-                } catch (const std::exception &error) {
-                    record.status = SweepStatus::Failed;
-                    record.error = error.what();
-                    record.outcome = failedOutcome(job.models);
-                    failure = std::current_exception();
-                    break;
-                }
             }
             record.wallSeconds = secondsSince(job_start);
-            if (writer)
-                writer->append(checkpointRecordOf(keys[index], record));
-            finishOne(index, record.wallSeconds);
-            if (failure && !options.keepGoing)
-                std::rethrow_exception(failure);
+            settle(index, nullptr);
         });
     }
 
@@ -872,19 +825,16 @@ SweepRunner::run(
         // rethrows the original exception; process mode rebuilds it
         // from the worker's record, since the original died with the
         // worker.
-        if (isolation == IsolationMode::Process) {
-            for (std::size_t index : pending) {
-                const SweepRecord &record = records[index];
-                if (record.status == SweepStatus::Failed ||
-                    record.status == SweepStatus::TimedOut ||
-                    record.status == SweepStatus::Crashed)
-                    rethrowRecordError(record);
-            }
-        }
-        for (std::size_t pending_index = 0;
-             pending_index < errors.size(); ++pending_index) {
-            if (errors[pending_index])
-                std::rethrow_exception(errors[pending_index]);
+        for (std::size_t pending_index = 0; pending_index < pending.size();
+             ++pending_index) {
+            const SweepRecord &record = records[pending[pending_index]];
+            if (record.status != SweepStatus::Failed &&
+                record.status != SweepStatus::TimedOut &&
+                record.status != SweepStatus::Crashed)
+                continue;
+            if (!failures.empty())
+                std::rethrow_exception(failures[pending_index]);
+            rethrowRecordError(record);
         }
     }
     return records;

@@ -11,10 +11,18 @@
  * campaign. With SweepOptions::keepGoing each job's failure is
  * recorded in its SweepRecord (status + message) and every other mix
  * still completes bit-identically to a clean run. A per-job watchdog
- * budget — explicit (jobTimeoutSeconds / jobMaxCycles) or adaptive
- * (budgetMultiplier x the median wall clock of completed jobs) — times
- * a livelocked mix out cooperatively; adaptively budgeted jobs get one
- * escalating-budget retry before the timeout becomes permanent.
+ * budget — explicit (jobTimeoutSeconds, or the config's own
+ * maxGlobalCycles) or adaptive (budgetMultiplier x the median wall
+ * clock of completed jobs) — times a livelocked mix out cooperatively.
+ *
+ * One job lifecycle serves both isolation modes, which differ only in
+ * where an attempt runs (a pool thread, or a forked ProcessPool
+ * child): one attempt step builds the RunBudget, runs the mix and maps
+ * its error to a status; one escalation rule gives an adaptive
+ * wall-clock timeout on attempt 1 a single retry at double the budget
+ * (a cycle-budget timeout is final); one settle step checkpoints the
+ * verdict (never a cancellation) and counts the job done; one
+ * fail-fast pass surfaces the first failure in input order.
  *
  * Crash safety: with SweepOptions::checkpointPath every completed job
  * is appended to a JSONL checkpoint (single write + flush per record),
@@ -23,8 +31,9 @@
  * derived figures and raw telemetry counters alike — restored
  * bit-identically, so a killed sweep re-executes only the unfinished
  * jobs and benches that aggregate raw counters print the same numbers
- * either way. Records from a pre-telemetry checkpoint format are
- * re-executed (with a warning), never restored incompletely.
+ * either way. loadSweepCheckpoint() leaves out ok records of a
+ * pre-telemetry checkpoint format (with a warning), so their jobs are
+ * re-executed, never restored incompletely.
  *
  * Determinism: each job builds its own MultiCoreSystem from the
  * context's immutable cached traces, so per-mix metrics are
@@ -119,19 +128,18 @@ struct SweepOptions
      */
     bool keepGoing = false;
 
-    /** Explicit per-job wall-clock budget in seconds (0 = none). */
+    /** Explicit per-job wall-clock budget in seconds (0 = none). A
+     * per-job cycle cap is SystemConfig::maxGlobalCycles. */
     double jobTimeoutSeconds = 0;
-
-    /** Per-job global-cycle budget (0 = none). */
-    Cycle jobMaxCycles = 0;
 
     /**
      * Adaptive watchdog: once >= 3 jobs completed, each remaining job
      * gets a wall budget of budgetMultiplier x the median completed
-     * wall clock (floored at 0.25 s), with one retry at double the
-     * budget before the timeout is recorded as permanent. 0 disables.
-     * Ignored when jobTimeoutSeconds is set (explicit budgets are
-     * hard and not retried).
+     * wall clock (floored at 0.25 s). A wall-clock timeout gets one
+     * retry at double the budget before it is recorded as permanent;
+     * a cycle-budget timeout is final at once. 0 disables. Ignored
+     * when jobTimeoutSeconds is set (explicit budgets are hard and
+     * not retried).
      */
     double budgetMultiplier = 0;
 

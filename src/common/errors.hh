@@ -47,7 +47,8 @@ class SimulationError : public std::runtime_error
 
     SimErrorKind kind() const { return kind_; }
 
-    /** Whether a retry with a larger budget could plausibly succeed. */
+    /** Whether the run hit a cycle or wall-clock budget (a timeout,
+     * not a failure). */
     bool isBudget() const
     {
         return kind_ == SimErrorKind::CycleBudget ||

@@ -440,10 +440,11 @@ containmentSweep(const std::string &inject_spec, Cycle job_max_cycles)
     jobs[1].config.level = SharingLevel::ShareDWT;
     jobs[1].config.checkLevel = CheckLevel::Full;
     jobs[1].models = {"inet0", "inet1"};
+    for (SweepJob &job : jobs)
+        job.config.maxGlobalCycles = job_max_cycles;
 
     SweepOptions options;
     options.keepGoing = true;
-    options.jobMaxCycles = job_max_cycles;
     SweepRunner runner(1);
     return runner.run(context, jobs, options);
 }

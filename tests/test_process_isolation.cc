@@ -244,6 +244,54 @@ TEST(ProcessIsolationTest, CleanProcessRunMatchesThreadRunBitIdentical)
     EXPECT_EQ(runner.lastStats().workerCrashes, 0u);
 }
 
+TEST(ProcessIsolationTest, ContainedFailuresMatchAcrossIsolationModes)
+{
+    // The clean campaign, then a FatalError mix (unknown model) and a
+    // cycle-budget blowout placed after enough completions for the
+    // adaptive budget to be armed. A cycle-budget timeout would hit
+    // the same cap again, so neither mode may retry it.
+    auto jobs = isoJobs();
+    SweepJob unknown;
+    unknown.models = {"no-such-model", "net0"};
+    jobs.push_back(unknown);
+    SweepJob capped;
+    capped.models = {"net0", "net1"};
+    capped.config.maxGlobalCycles = 1000;
+    jobs.push_back(capped);
+
+    ExperimentContext context(isoArch(), isoMem());
+    registerIsoNetworks(context);
+    SweepRunner runner(1);
+    SweepOptions options;
+    options.keepGoing = true;
+    options.budgetMultiplier = 50;
+
+    options.isolation = IsolationMode::Thread;
+    const auto thread_records = runner.run(context, jobs, options);
+    const std::size_t thread_retried = runner.lastStats().retried;
+    options.isolation = IsolationMode::Process;
+    const auto process_records = runner.run(context, jobs, options);
+
+    ASSERT_EQ(thread_records.size(), jobs.size());
+    ASSERT_EQ(process_records.size(), jobs.size());
+    EXPECT_EQ(thread_records[12].status, SweepStatus::Failed);
+    EXPECT_EQ(thread_records[13].status, SweepStatus::TimedOut);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepRecord &thread = thread_records[i];
+        const SweepRecord &process = process_records[i];
+        EXPECT_EQ(process.status, thread.status) << "mix " << i;
+        EXPECT_EQ(process.error, thread.error) << "mix " << i;
+        EXPECT_EQ(process.attempts, thread.attempts) << "mix " << i;
+        if (thread.status == SweepStatus::Ok) {
+            EXPECT_EQ(outcomeFingerprint(process),
+                      outcomeFingerprint(thread))
+                << "mix " << i;
+        }
+    }
+    EXPECT_EQ(runner.lastStats().retried, thread_retried);
+    EXPECT_EQ(thread_retried, 0u);
+}
+
 // --- Crash quarantine drill ---
 
 TEST(ProcessIsolationTest, WorkerCrashQuarantinesExactlyInjectedJobs)

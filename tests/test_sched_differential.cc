@@ -213,12 +213,12 @@ eventContainmentSweep(const std::string &inject_spec, Cycle job_max_cycles)
         job.config.level = SharingLevel::ShareDWT;
         job.config.checkLevel = CheckLevel::Full;
         job.models = {"dnet0", "dnet1"};
+        job.config.maxGlobalCycles = job_max_cycles;
     }
     jobs[0].config.faultPlan = parseFaultPlan(inject_spec);
 
     SweepOptions options;
     options.keepGoing = true;
-    options.jobMaxCycles = job_max_cycles;
     SweepRunner runner(1);
     return runner.run(context, jobs, options);
 }
