@@ -51,6 +51,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "dram/dram_system.hh"
+#include "mem/memory_backend.hh"
 #include "mmu/mmu.hh"
 #include "mmu/paging.hh"
 #include "mmu/tlb.hh"
@@ -193,10 +194,12 @@ BM_FastTranslateRun(benchmark::State &state)
     constexpr std::uint64_t kRunPages = 256;
     struct Stack
     {
-        DramSystem dram{DramTiming::hbm2(), 1, 1, 32};
+        std::unique_ptr<MemoryBackend> dram =
+            makeMemoryBackend(MemBackendKind::Dram, DramTiming::hbm2(), 1,
+                              1, 32, PcmConfig{}, FabricConfig{});
         PageAllocator allocator{0, 1ULL << 40, 4096};
         PageTableModel table{allocator};
-        Mmu mmu{MmuConfig{}, allocator, table, dram};
+        Mmu mmu{MmuConfig{}, allocator, table, *dram};
     };
     auto stack = std::make_unique<Stack>();
     Addr vpn = 0;

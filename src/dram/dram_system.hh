@@ -1,7 +1,8 @@
 /**
  * @file
- * Multi-channel DRAM system with per-core channel partitioning — the
- * reference MemoryBackend implementation (DESIGN.md §14).
+ * Multi-channel DRAM system with per-core channel partitioning: one
+ * tier of the MemoryBackend (DESIGN.md §14). PcmBackend derives from
+ * it and overrides only the hooks marked virtual.
  *
  * Bandwidth sharing levels from the paper map onto channel sets:
  *  - shared (+D): every core interleaves over every channel;
@@ -24,12 +25,12 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/dram_channel.hh"
-#include "mem/memory_backend.hh"
+#include "mem/mem_config.hh"
 
 namespace mnpu
 {
 
-class DramSystem : public MemoryBackend
+class DramSystem
 {
   public:
     /**
@@ -45,6 +46,10 @@ class DramSystem : public MemoryBackend
                std::uint32_t num_cores, std::uint32_t queue_depth = 32,
                const std::string &mapping_order = "ro-ra-bg-ba-co",
                const std::string &stat_prefix = "dram");
+    virtual ~DramSystem() = default;
+    /** The channels' completion callbacks hold this system's address. */
+    DramSystem(const DramSystem &) = delete;
+    DramSystem &operator=(const DramSystem &) = delete;
 
     /**
      * Apply a declarative channel-partition + bandwidth-share policy:
@@ -55,13 +60,13 @@ class DramSystem : public MemoryBackend
      * shares[core] / sum(shares) of the system's peak bandwidth; an
      * empty share vector removes all caps (dynamic sharing).
      */
-    void applyPolicy(const SharingPolicy &policy) override;
+    void applyPolicy(const SharingPolicy &policy);
 
     /**
      * Try to queue a transaction. @return false when the target channel
      * queue is full (caller retries later).
      */
-    bool tryEnqueue(const DramRequest &request, Cycle now) override;
+    virtual bool tryEnqueue(const DramRequest &request, Cycle now);
 
     /**
      * Fast-fidelity analytic transfer: model a batch of @p num_tx
@@ -78,7 +83,7 @@ class DramSystem : public MemoryBackend
      * @return the global cycle the batch's last data beat completes.
      */
     Cycle fastTransfer(CoreId core, std::uint64_t num_tx, bool is_write,
-                       Cycle start) override;
+                       Cycle start);
 
     /**
      * Fast-fidelity walk traffic: credit @p num_steps page-table-walk
@@ -87,10 +92,10 @@ class DramSystem : public MemoryBackend
      * Mmu::fastTranslate, not by queueing these reads.
      */
     void fastWalkTraffic(CoreId core, std::uint64_t num_steps,
-                         Cycle at) override;
+                         Cycle at);
 
     /** @return true if the target channel could accept @p request now. */
-    bool canAccept(const DramRequest &request) const override;
+    virtual bool canAccept(const DramRequest &request) const;
 
     /**
      * Advance to global cycle @p now. In the default (exhaustive)
@@ -99,7 +104,7 @@ class DramSystem : public MemoryBackend
      * that were enqueued-to since their last tick are ticked — a
      * channel skipped under that rule is guaranteed to no-op.
      */
-    void tick(Cycle now) override;
+    virtual void tick(Cycle now);
 
     /**
      * Switch to event-driven per-channel ticking: tick(now) consults a
@@ -109,14 +114,7 @@ class DramSystem : public MemoryBackend
      * the next tick revisits it. Used by the gated run loop; direct
      * per-cycle users keep the default exhaustive mode.
      */
-    void setEventDriven(bool enabled) override;
-
-    /**
-     * Whether any channel was enqueued-to since its last tick (event
-     * mode): the system must be revisited at now + 1 regardless of the
-     * cached bounds, which predate the enqueue.
-     */
-    bool poked() const override { return anyPoked_; }
+    void setEventDriven(bool enabled);
 
     /**
      * Event mode: true when this tick freed a channel-queue slot or a
@@ -124,14 +122,14 @@ class DramSystem : public MemoryBackend
      * the two conditions under which a blocked enqueuer (a core's DMA
      * drain or a WaitIssue walker) could now succeed. Cleared on read.
      */
-    bool consumeRetrySignal() override
+    bool consumeRetrySignal()
     {
         bool signal = retrySignal_;
         retrySignal_ = false;
         return signal;
     }
 
-    bool busy() const override;
+    virtual bool busy() const;
 
     /**
      * Sharp lower bound on the next cycle the DRAM system (any
@@ -139,7 +137,7 @@ class DramSystem : public MemoryBackend
      * starved requester is waiting on) changes state. See
      * DramChannel::nextEventCycle for the bound contract.
      */
-    Cycle nextEventCycle(Cycle now) const override;
+    virtual Cycle nextEventCycle(Cycle now) const;
 
     /**
      * FNV-1a hash over every DRAM command the protocol checkers have
@@ -147,10 +145,10 @@ class DramSystem : public MemoryBackend
      * Two runs with identical hashes issued the identical command
      * stream — the differential stepping test's strongest witness.
      */
-    std::uint64_t protocolStreamHash() const override;
+    std::uint64_t protocolStreamHash() const;
 
     /** Completion callback for reads and writes (data-done cycle). */
-    void setCallback(DramCallback callback) override;
+    void setCallback(DramCallback callback);
 
     /**
      * Attach the integrity layer: @p tracker assigns every accepted
@@ -161,14 +159,14 @@ class DramSystem : public MemoryBackend
      * nullptr; neither is owned.
      */
     void setIntegrity(RequestLifecycleTracker *tracker,
-                      FaultInjector *injector) override;
+                      FaultInjector *injector);
 
     /**
      * Attach one DramProtocolChecker per channel (full check level);
      * every subsequent DRAM command is re-validated against the
      * timing parameters.
      */
-    void enableProtocolChecks() override;
+    void enableProtocolChecks();
 
     /**
      * Attach the observability trace sink: each delivered request
@@ -176,33 +174,33 @@ class DramSystem : public MemoryBackend
      * process, and when the sink's level is Requests every channel also
      * emits per-command instants. Passive; nullptr detaches; not owned.
      */
-    void setTraceSink(TraceEventSink *sink) override;
+    void setTraceSink(TraceEventSink *sink);
 
     /** DRAM commands validated so far (0 when protocol checks are off). */
-    std::uint64_t protocolCommandsChecked() const override;
+    std::uint64_t protocolCommandsChecked() const;
 
     /**
      * Start recording per-core and total traffic per @p window_cycles
      * window (Figure 12 telemetry). Bytes are attributed to the window
      * of the completion cycle.
      */
-    void enableTelemetry(Cycle window_cycles) override;
+    void enableTelemetry(Cycle window_cycles);
 
     /** Flush telemetry windows; call once after simulation. */
-    void finalizeTelemetry() override;
+    void finalizeTelemetry();
 
     /**
      * Write request logs under @p dir (§3.2.2): `dram.log` records the
      * start cycle of every accepted request and `dramreq.log` the end
      * cycle, both with core, channel, address, and operation.
      */
-    void enableRequestLog(const std::string &dir) override;
+    void enableRequestLog(const std::string &dir);
 
     /** Flush request logs to disk (call after the simulation). */
-    void flushRequestLogs() override;
+    void flushRequestLogs();
 
     /** @return whether enableTelemetry() has been called. */
-    bool telemetryEnabled() const override
+    bool telemetryEnabled() const
     {
         return totalTracer_.has_value();
     }
@@ -213,34 +211,34 @@ class DramSystem : public MemoryBackend
      * SimResult::telemetry.findSeries() instead of reaching into the
      * live DRAM system; kept one release for out-of-tree callers.
      */
-    const IntervalTracer &coreTelemetry(CoreId core) const override;
+    const IntervalTracer &coreTelemetry(CoreId core) const;
 
     /**
      * Whole-system traffic tracer (telemetry must be enabled).
      * @deprecated Read `dram.total.bytes` from
      * SimResult::telemetry.findSeries() instead; kept one release.
      */
-    const IntervalTracer &totalTelemetry() const override;
+    const IntervalTracer &totalTelemetry() const;
 
-    std::uint32_t numChannels() const override
+    std::uint32_t numChannels() const
     {
         return static_cast<std::uint32_t>(channels_.size());
     }
-    std::uint32_t numCores() const override
+    std::uint32_t numCores() const
     {
         return static_cast<std::uint32_t>(partitions_.size());
     }
 
-    const DramTiming &timing() const override { return timing_; }
+    const DramTiming &timing() const { return timing_; }
 
     /** Total bytes completed for @p core (data + walk traffic). */
-    std::uint64_t coreBytes(CoreId core) const override;
+    std::uint64_t coreBytes(CoreId core) const;
 
     /** Bytes of page-table-walk traffic completed for @p core. */
-    std::uint64_t coreWalkBytes(CoreId core) const override;
+    std::uint64_t coreWalkBytes(CoreId core) const;
 
     /** Aggregate stats across channels (reads/writes/hits/misses). */
-    std::uint64_t totalCounter(const std::string &stat_name) const override;
+    std::uint64_t totalCounter(const std::string &stat_name) const;
 
     const DramChannel &channel(std::uint32_t index) const
     {
@@ -248,13 +246,13 @@ class DramSystem : public MemoryBackend
     }
 
     /** Every per-channel StatGroup, in channel order. */
-    void visitStatGroups(const StatGroupVisitor &visit) const override;
+    virtual void visitStatGroups(const StatGroupVisitor &visit) const;
 
     /** Peak bandwidth of the whole system in bytes/sec. */
-    double peakBandwidthBytesPerSec() const override;
+    double peakBandwidthBytesPerSec() const;
 
     /** Total DRAM energy over @p elapsed_cycles, picojoules. */
-    double totalEnergyPj(Cycle elapsed_cycles) const override;
+    double totalEnergyPj(Cycle elapsed_cycles) const;
 
     /**
      * Snapshot every channel, the per-core token buckets, delayed
@@ -266,10 +264,8 @@ class DramSystem : public MemoryBackend
      * and skipped-channel no-op guarantees hold trivially. Request
      * logs restart empty (spans before the snapshot are not replayed).
      */
-    void saveState(StateWriter &out) const override;
-    void loadState(StateReader &in) override;
-
-    const char *kindName() const override { return "dram"; }
+    virtual void saveState(StateWriter &out) const;
+    virtual void loadState(StateReader &in);
 
   protected:
     /**

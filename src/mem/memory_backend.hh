@@ -1,16 +1,20 @@
 /**
  * @file
- * The pluggable off-chip memory API (DESIGN.md §14).
+ * The off-chip memory system (DESIGN.md §14).
  *
- * MemoryBackend is the full contract MultiCoreSystem, NpuCore, Mmu,
- * and the integrity/snapshot/metrics layers consume from the off-chip
- * memory system. DramSystem is the first implementation; PcmBackend
- * models a slow-media tier behind a small DRAM data cache; XBar
- * decorates any backend with a modeled core→memory interconnect; and
- * TieredBackend routes requests between a hot (DRAM) and a cold (PCM)
- * tier by memory region.
+ * MemoryBackend is the one concrete class MultiCoreSystem, NpuCore,
+ * Mmu, and the integrity/snapshot/metrics layers consume. It owns one
+ * or two tiers and an optional fabric stage, and does each wiring call
+ * and readout once, over its tiers:
  *
- * Contract invariants every implementation must keep (ratcheted by the
+ *  - a tier is a DramSystem, or a PcmBackend (DramSystem's channels
+ *    behind a small DRAM data cache, with PCM write commit);
+ *  - a tiered stack routes by memory region: Weight requests go to
+ *    tier 1 (PCM), everything else to tier 0 (DRAM);
+ *  - an XBar in front models the core-to-memory request
+ *    interconnect; it forwards into the tier the region rule picks.
+ *
+ * Contract invariants every stack must keep (ratcheted by the
  * MemBackend conformance suite and the golden/differential harnesses):
  *
  *  - Admission purity: a tryEnqueue() that returns false mutates
@@ -34,22 +38,14 @@
 #define MNPU_MEM_MEMORY_BACKEND_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/fault_injection.hh"
-#include "common/integrity.hh"
-#include "common/interval_tracer.hh"
 #include "common/settings.hh"
-#include "common/snapshot.hh"
-#include "common/stats.hh"
-#include "common/trace_events.hh"
-#include "common/types.hh"
-#include "dram/dram_channel.hh"
-#include "dram/dram_timing.hh"
+#include "dram/dram_system.hh"
+#include "mem/mem_config.hh"
+#include "mem/xbar.hh"
 
 namespace mnpu
 {
@@ -57,9 +53,9 @@ namespace mnpu
 /** Which off-chip memory backend a system runs against. */
 enum class MemBackendKind
 {
-    Dram,   //!< DramSystem (HBM2/DDR4 presets); the default
-    Pcm,    //!< slow-media PcmBackend behind a DRAM data cache
-    Tiered, //!< weights on PCM, activations/walks on DRAM
+    Dram,   //!< one DramSystem tier (HBM2/DDR4 presets); the default
+    Pcm,    //!< one slow-media PcmBackend tier behind a DRAM data cache
+    Tiered, //!< weights on a PCM tier 1, activations/walks on DRAM
 };
 
 /**
@@ -71,156 +67,162 @@ Setting<MemBackendKind> &memBackendSetting();
 const char *toString(MemBackendKind kind);
 
 /**
- * Declarative channel-partition + bandwidth-share policy. Declarative
- * matters for multi-backend systems: "share all channels" resolves against each
- * backend's own channel count instead of baking one system's channel
- * indices into the caller.
- */
-struct SharingPolicy
-{
-    enum class Channels
-    {
-        ShareAll, //!< every core interleaves over every channel
-        ByCounts, //!< contiguous split by channelCounts (sum = total)
-        Explicit, //!< explicitSets[core] lists the owned channels
-        Keep,     //!< leave the current channel layout untouched
-    };
-
-    Channels channels = Channels::ShareAll;
-    std::vector<std::uint32_t> channelCounts;               //!< ByCounts
-    std::vector<std::vector<std::uint32_t>> explicitSets;   //!< Explicit
-
-    /**
-     * Per-core bandwidth shares (token-bucket rate caps). Disengaged
-     * (nullopt) leaves the current caps untouched; an engaged empty
-     * vector removes every cap (dynamic sharing).
-     */
-    std::optional<std::vector<std::uint32_t>> bandwidthShares;
-};
-
-/** PcmBackend knobs (see DESIGN.md §14 for what is/isn't modeled). */
-struct PcmConfig
-{
-    /** Direct-mapped DRAM data-cache lines in front of the media. */
-    std::uint32_t cacheLines = 2048;
-
-    /** Global cycles from a read cache hit to its data delivery. */
-    Cycle cacheHitLatency = 24;
-
-    /**
-     * Extra cycles a write spends committing to the media after its
-     * bus transaction completes (PCM cell programming). While any
-     * write is committing, read-miss admission is paused.
-     */
-    Cycle writeCommitCycles = 64;
-
-    /** Outstanding cache-hit responses before admission backpressure. */
-    std::uint32_t hitQueueDepth = 64;
-};
-
-/** XBar fabric knobs between cores and the memory backend. */
-struct FabricConfig
-{
-    bool enabled = false;
-
-    /** Crossbar ports; 0 = one port per core. Cores map core % ports. */
-    std::uint32_t ports = 0;
-
-    /** Per-port request-queue depth (1 slot reserved for walks). */
-    std::uint32_t queueDepth = 16;
-
-    /** Port data width in bytes per cycle: pacing between forwards. */
-    std::uint32_t widthBytes = 32;
-
-    /** Port traversal latency in global cycles. */
-    Cycle latencyCycles = 4;
-};
-
-/** Visitor over a backend's StatGroups (metrics registration). */
-using StatGroupVisitor = std::function<void(const StatGroup &)>;
-
-/**
- * Abstract off-chip memory backend; see the file comment for the
- * contract invariants. All cycles are global cycles.
+ * The off-chip memory system: one or two DramSystem tiers and an
+ * optional XBar fabric stage in front of them. See the file comment
+ * for the contract invariants. All cycles are global cycles.
  */
 class MemoryBackend
 {
   public:
-    virtual ~MemoryBackend() = default;
+    /** The stack makeMemoryBackend documents. */
+    MemoryBackend(MemBackendKind kind, const DramTiming &timing,
+                  std::uint32_t num_channels, std::uint32_t num_cores,
+                  std::uint32_t queue_depth, const PcmConfig &pcm,
+                  const FabricConfig &fabric);
 
     // --- Admission and progress. ---
-    virtual bool tryEnqueue(const DramRequest &request, Cycle now) = 0;
-    virtual bool canAccept(const DramRequest &request) const = 0;
-    virtual void tick(Cycle now) = 0;
-    virtual bool busy() const = 0;
+    bool tryEnqueue(const DramRequest &request, Cycle now)
+    {
+        return fabric_ ? fabric_->tryEnqueue(request, now)
+                       : tierFor(request).tryEnqueue(request, now);
+    }
+    bool canAccept(const DramRequest &request) const
+    {
+        return fabric_ ? fabric_->canAccept(request)
+                       : tierFor(request).canAccept(request);
+    }
+    /** Ticks every tier, then lets the fabric forward into them. */
+    void tick(Cycle now)
+    {
+        for (const auto &tier : tiers_)
+            tier->tick(now);
+        if (fabric_)
+            fabric_->tick(now, *this);
+    }
+    bool busy() const;
 
     // --- Event-scheduler contract. ---
-    virtual void setEventDriven(bool enabled) = 0;
-    virtual bool poked() const = 0;
-    virtual bool consumeRetrySignal() = 0;
-    virtual Cycle nextEventCycle(Cycle now) const = 0;
+    void setEventDriven(bool enabled);
+    /** Clears every tier's and the fabric's signal (no short-circuit). */
+    bool consumeRetrySignal()
+    {
+        bool signal = fabric_ && fabric_->consumeRetrySignal();
+        for (const auto &tier : tiers_)
+            signal |= tier->consumeRetrySignal();
+        return signal;
+    }
+    Cycle nextEventCycle(Cycle now) const;
 
-    // --- Partitioning / bandwidth-share policy. ---
-    virtual void applyPolicy(const SharingPolicy &policy) = 0;
+    // --- Partitioning / bandwidth-share policy (every tier). ---
+    void applyPolicy(const SharingPolicy &policy);
 
-    // --- Fast-fidelity analytic paths. ---
-    virtual Cycle fastTransfer(CoreId core, std::uint64_t num_tx,
-                               bool is_write, Cycle start) = 0;
-    virtual void fastWalkTraffic(CoreId core, std::uint64_t num_steps,
-                                 Cycle at) = 0;
+    // --- Fast-fidelity analytic paths (tier 0; fatal on two tiers). ---
+    Cycle fastTransfer(CoreId core, std::uint64_t num_tx, bool is_write,
+                       Cycle start);
+    void fastWalkTraffic(CoreId core, std::uint64_t num_steps, Cycle at)
+    {
+        tiers_[0]->fastWalkTraffic(core, num_steps, at);
+    }
 
     // --- Wiring: completions, integrity, observability. ---
-    virtual void setCallback(DramCallback callback) = 0;
-    virtual void setIntegrity(RequestLifecycleTracker *tracker,
-                              FaultInjector *injector) = 0;
-    virtual void enableProtocolChecks() = 0;
-    virtual std::uint64_t protocolStreamHash() const = 0;
-    virtual std::uint64_t protocolCommandsChecked() const = 0;
-    virtual void setTraceSink(TraceEventSink *sink) = 0;
+    void setCallback(const DramCallback &callback);
+    void setIntegrity(RequestLifecycleTracker *tracker,
+                      FaultInjector *injector);
+    void enableProtocolChecks();
+    /** XOR of the tiers' (order-independent, like each tier's mix). */
+    std::uint64_t protocolStreamHash() const;
+    std::uint64_t protocolCommandsChecked() const;
+    void setTraceSink(TraceEventSink *sink);
 
-    // --- Telemetry and request logs. ---
-    virtual void enableTelemetry(Cycle window_cycles) = 0;
-    virtual void finalizeTelemetry() = 0;
-    virtual bool telemetryEnabled() const = 0;
-    virtual const IntervalTracer &coreTelemetry(CoreId core) const = 0;
-    virtual const IntervalTracer &totalTelemetry() const = 0;
-    virtual void enableRequestLog(const std::string &dir) = 0;
-    virtual void flushRequestLogs() = 0;
+    // --- Telemetry and request logs: tier 0 only (one series set,
+    // one file set; the other tier's traffic still shows in counters
+    // and byte totals). ---
+    void enableTelemetry(Cycle window_cycles)
+    {
+        tiers_[0]->enableTelemetry(window_cycles);
+    }
+    void finalizeTelemetry() { tiers_[0]->finalizeTelemetry(); }
+    bool telemetryEnabled() const { return tiers_[0]->telemetryEnabled(); }
+    const IntervalTracer &coreTelemetry(CoreId core) const
+    {
+        return tiers_[0]->coreTelemetry(core);
+    }
+    const IntervalTracer &totalTelemetry() const
+    {
+        return tiers_[0]->totalTelemetry();
+    }
+    void enableRequestLog(const std::string &dir)
+    {
+        tiers_[0]->enableRequestLog(dir);
+    }
+    void flushRequestLogs() { tiers_[0]->flushRequestLogs(); }
 
-    // --- Readouts. ---
-    virtual const DramTiming &timing() const = 0;
-    virtual std::uint32_t numCores() const = 0;
-    virtual std::uint32_t numChannels() const = 0;
-    virtual std::uint64_t coreBytes(CoreId core) const = 0;
-    virtual std::uint64_t coreWalkBytes(CoreId core) const = 0;
-    virtual std::uint64_t totalCounter(const std::string &stat_name) const = 0;
-    virtual double peakBandwidthBytesPerSec() const = 0;
-    virtual double totalEnergyPj(Cycle elapsed_cycles) const = 0;
+    // --- Readouts: tier 0's timing and cores; the rest summed. ---
+    const DramTiming &timing() const { return tiers_[0]->timing(); }
+    std::uint32_t numCores() const { return tiers_[0]->numCores(); }
+    std::uint32_t numChannels() const;
+    std::uint64_t coreBytes(CoreId core) const;
+    std::uint64_t coreWalkBytes(CoreId core) const;
+    std::uint64_t totalCounter(const std::string &stat_name) const;
+    double peakBandwidthBytesPerSec() const;
+    double totalEnergyPj(Cycle elapsed_cycles) const;
 
     /**
-     * Visit every StatGroup this backend owns (per-channel groups,
-     * cache/fabric groups). Replaces reaching through channel(i) for
-     * metrics registration; stable visiting order (the metrics schema
-     * depends on it).
+     * Visit every StatGroup: the fabric's first, then each tier's
+     * (per-channel groups, the PCM cache group). The order is stable;
+     * the metrics schema depends on it.
      */
-    virtual void visitStatGroups(const StatGroupVisitor &visit) const = 0;
+    void visitStatGroups(const StatGroupVisitor &visit) const;
 
-    // --- Snapshot/restore. ---
-    virtual void saveState(StateWriter &out) const = 0;
-    virtual void loadState(StateReader &in) = 0;
+    // --- Snapshot/restore: "XBAR", then "TIER" on two tiers, then
+    // each tier's sections. ---
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
     /** Stable identity string ("dram", "pcm", "tiered"). */
-    virtual const char *kindName() const = 0;
+    const char *kindName() const;
+
+    // --- Structure. ---
+    std::size_t numTiers() const { return tiers_.size(); }
+    const DramSystem &tier(std::size_t index) const
+    {
+        return *tiers_[index];
+    }
+    /** The fabric stage, or nullptr when requests go straight in. */
+    const XBar *fabric() const { return fabric_.get(); }
+
+    /** The tier the region rule sends @p request to. */
+    DramSystem &tierFor(const DramRequest &request)
+    {
+        return *tiers_[tierIndex(request)];
+    }
+    const DramSystem &tierFor(const DramRequest &request) const
+    {
+        return *tiers_[tierIndex(request)];
+    }
+
+  private:
+    /** Region rule: Weight goes to tier 1 when there is one. */
+    std::size_t tierIndex(const DramRequest &request) const
+    {
+        return tiers_.size() > 1 && request.region == MemRegion::Weight
+                   ? 1
+                   : 0;
+    }
+
+    MemBackendKind kind_;
+    std::vector<std::unique_ptr<DramSystem>> tiers_;
+    std::unique_ptr<XBar> fabric_;
 };
 
 /**
- * Build a backend graph for @p kind: DramSystem for Dram, PcmBackend
- * (with DramTiming::pcm() media timing) for Pcm, hot-DRAM + cold-PCM
- * TieredBackend for Tiered — each wrapped in an XBar when
- * @p fabric.enabled. @p timing is the hot/DRAM timing; the PCM tier
- * derives its media timing from DramTiming::pcm(), which shares the
- * DRAM clock and geometry (so transaction sizes and the global clock
- * domain stay uniform across tiers).
+ * Build the memory system for @p kind: one DramSystem tier for Dram,
+ * one PcmBackend tier (DramTiming::pcm() media timing) for Pcm, a
+ * DRAM tier 0 plus a PCM tier 1 for Tiered — with an XBar in front
+ * when @p fabric.enabled. @p timing is the DRAM tier's timing; the PCM
+ * tier derives its media timing from DramTiming::pcm(), which shares
+ * the DRAM clock and geometry (so transaction sizes and the global
+ * clock domain stay uniform across tiers).
  */
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(MemBackendKind kind, const DramTiming &timing,

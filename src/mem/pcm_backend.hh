@@ -21,8 +21,8 @@
  * accounting, telemetry, logs, and trace spans see PCM traffic exactly
  * as they see DRAM traffic. All MemoryBackend contract invariants
  * (admission purity, never-overshoot bounds, bit-identical snapshot
- * round-trips) are preserved; the conformance suite runs this backend
- * through the same property tests as DramSystem.
+ * round-trips) are preserved; the conformance suite runs the pcm and
+ * tiered stacks through the same property tests as the DRAM one.
  */
 
 #ifndef MNPU_MEM_PCM_BACKEND_HH
@@ -62,8 +62,6 @@ class PcmBackend : public DramSystem
     /** DramSystem state plus the cache tags and the pending heap. */
     void saveState(StateWriter &out) const override;
     void loadState(StateReader &in) override;
-
-    const char *kindName() const override { return "pcm"; }
 
   protected:
     /** Holds write completions for the cell-programming commit. */

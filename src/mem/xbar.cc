@@ -3,31 +3,28 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "mem/memory_backend.hh"
 
 namespace mnpu
 {
 
-XBar::XBar(std::unique_ptr<MemoryBackend> downstream,
-           const FabricConfig &config)
-    : downstream_(std::move(downstream)),
-      config_(config),
+XBar::XBar(const FabricConfig &config, std::uint32_t num_cores,
+           std::uint64_t transaction_bytes)
+    : config_(config),
       fabricStats_("fabric"),
       enqueued_(fabricStats_.counter("enqueued")),
       forwarded_(fabricStats_.counter("forwarded")),
       waitCycles_(fabricStats_.counter("wait_cycles"))
 {
-    mnpu_assert(downstream_ != nullptr, "XBar needs a backend");
-    std::uint32_t ports =
-        config_.ports != 0 ? config_.ports : downstream_->numCores();
+    std::uint32_t ports = config_.ports != 0 ? config_.ports : num_cores;
     if (ports == 0)
         fatal("XBar needs at least one port");
     if (config_.queueDepth == 0)
         fatal("XBar needs a per-port queue depth >= 1");
     if (config_.widthBytes == 0)
         fatal("XBar needs a nonzero port width");
-    txCycles_ = std::max<Cycle>(
-        1, ceilDiv(downstream_->timing().transactionBytes(),
-                   config_.widthBytes));
+    txCycles_ =
+        std::max<Cycle>(1, ceilDiv(transaction_bytes, config_.widthBytes));
     queues_.resize(ports);
     portFree_.assign(ports, 0);
     fastPortFree_.assign(ports, 0);
@@ -58,11 +55,8 @@ XBar::tryEnqueue(const DramRequest &request, Cycle now)
 }
 
 void
-XBar::tick(Cycle now)
+XBar::tick(Cycle now, MemoryBackend &memory)
 {
-    // Drain downstream first so a slot it frees this cycle is seen by
-    // this cycle's forwards under any stepping alike.
-    downstream_->tick(now);
     const std::size_t ports = queues_.size();
     // Round-robin arbitration anchored on simulated time, not visit
     // count: the winner rotation is identical under any stepping.
@@ -74,10 +68,11 @@ XBar::tick(Cycle now)
             portFree_[p] > now) {
             continue;
         }
-        // Head-of-line: a refusal downstream (full queue, starved
-        // bucket) blocks the port until the downstream's own bounds /
-        // retry signal re-visit it.
-        if (!downstream_->tryEnqueue(queue.front().request, now))
+        // Head-of-line: a refusal by the tier (full queue, starved
+        // bucket) blocks the port until the tier's own bounds / retry
+        // signal re-visit it.
+        const DramRequest &head = queue.front().request;
+        if (!memory.tierFor(head).tryEnqueue(head, now))
             continue;
         waitCycles_.inc(now - queue.front().readyAt);
         queue.pop_front();
@@ -90,29 +85,8 @@ XBar::tick(Cycle now)
 bool
 XBar::busy() const
 {
-    return downstream_->busy() ||
-           std::any_of(queues_.begin(), queues_.end(),
+    return std::any_of(queues_.begin(), queues_.end(),
                        [](const auto &queue) { return !queue.empty(); });
-}
-
-void
-XBar::setEventDriven(bool enabled)
-{
-    downstream_->setEventDriven(enabled);
-}
-
-bool
-XBar::poked() const
-{
-    return downstream_->poked();
-}
-
-bool
-XBar::consumeRetrySignal()
-{
-    bool signal = retrySignal_;
-    retrySignal_ = false;
-    return downstream_->consumeRetrySignal() || signal;
 }
 
 Cycle
@@ -120,10 +94,10 @@ XBar::nextEventCycle(Cycle now) const
 {
     // Per port: the head forwards no earlier than max(readyAt,
     // portFree). When both are already due the head is blocked on a
-    // downstream refusal; now + 1 (the max() floor) keeps the port
-    // under watch until the downstream unblocks — an undershoot, never
-    // an overshoot.
-    Cycle next = downstream_->nextEventCycle(now);
+    // tier's refusal; now + 1 (the max() floor) keeps the port under
+    // watch until the tier unblocks — an undershoot, never an
+    // overshoot.
+    Cycle next = kCycleNever;
     for (std::size_t p = 0; p < queues_.size(); ++p) {
         if (queues_[p].empty())
             continue;
@@ -134,169 +108,20 @@ XBar::nextEventCycle(Cycle now) const
     return next;
 }
 
-void
-XBar::applyPolicy(const SharingPolicy &policy)
-{
-    downstream_->applyPolicy(policy);
-}
-
 Cycle
 XBar::fastTransfer(CoreId core, std::uint64_t num_tx, bool is_write,
-                   Cycle start)
+                   Cycle start, DramSystem &tier)
 {
     if (num_tx == 0)
         return start;
-    // Analytic port model mirroring the queued path: the batch enters
-    // the port after the traversal latency, serializes behind the
-    // port's previous fast batch, and occupies the port txCycles per
-    // transaction — so shrinking the width lengthens every batch.
+    // Mirrors the queued path, so shrinking the width lengthens every
+    // batch.
     const std::size_t p = portOf(core);
     const Cycle enter =
         std::max(start + config_.latencyCycles, fastPortFree_[p]);
     fastPortFree_[p] = enter + num_tx * txCycles_;
-    const Cycle done =
-        downstream_->fastTransfer(core, num_tx, is_write, enter);
+    const Cycle done = tier.fastTransfer(core, num_tx, is_write, enter);
     return std::max(done, fastPortFree_[p]);
-}
-
-void
-XBar::fastWalkTraffic(CoreId core, std::uint64_t num_steps, Cycle at)
-{
-    downstream_->fastWalkTraffic(core, num_steps, at);
-}
-
-void
-XBar::setCallback(DramCallback callback)
-{
-    downstream_->setCallback(std::move(callback));
-}
-
-void
-XBar::setIntegrity(RequestLifecycleTracker *tracker,
-                   FaultInjector *injector)
-{
-    downstream_->setIntegrity(tracker, injector);
-}
-
-void
-XBar::enableProtocolChecks()
-{
-    downstream_->enableProtocolChecks();
-}
-
-std::uint64_t
-XBar::protocolStreamHash() const
-{
-    return downstream_->protocolStreamHash();
-}
-
-std::uint64_t
-XBar::protocolCommandsChecked() const
-{
-    return downstream_->protocolCommandsChecked();
-}
-
-void
-XBar::setTraceSink(TraceEventSink *sink)
-{
-    downstream_->setTraceSink(sink);
-}
-
-void
-XBar::enableTelemetry(Cycle window_cycles)
-{
-    downstream_->enableTelemetry(window_cycles);
-}
-
-void
-XBar::finalizeTelemetry()
-{
-    downstream_->finalizeTelemetry();
-}
-
-bool
-XBar::telemetryEnabled() const
-{
-    return downstream_->telemetryEnabled();
-}
-
-const IntervalTracer &
-XBar::coreTelemetry(CoreId core) const
-{
-    return downstream_->coreTelemetry(core);
-}
-
-const IntervalTracer &
-XBar::totalTelemetry() const
-{
-    return downstream_->totalTelemetry();
-}
-
-void
-XBar::enableRequestLog(const std::string &dir)
-{
-    downstream_->enableRequestLog(dir);
-}
-
-void
-XBar::flushRequestLogs()
-{
-    downstream_->flushRequestLogs();
-}
-
-const DramTiming &
-XBar::timing() const
-{
-    return downstream_->timing();
-}
-
-std::uint32_t
-XBar::numCores() const
-{
-    return downstream_->numCores();
-}
-
-std::uint32_t
-XBar::numChannels() const
-{
-    return downstream_->numChannels();
-}
-
-std::uint64_t
-XBar::coreBytes(CoreId core) const
-{
-    return downstream_->coreBytes(core);
-}
-
-std::uint64_t
-XBar::coreWalkBytes(CoreId core) const
-{
-    return downstream_->coreWalkBytes(core);
-}
-
-std::uint64_t
-XBar::totalCounter(const std::string &stat_name) const
-{
-    return downstream_->totalCounter(stat_name);
-}
-
-double
-XBar::peakBandwidthBytesPerSec() const
-{
-    return downstream_->peakBandwidthBytesPerSec();
-}
-
-double
-XBar::totalEnergyPj(Cycle elapsed_cycles) const
-{
-    return downstream_->totalEnergyPj(elapsed_cycles);
-}
-
-void
-XBar::visitStatGroups(const StatGroupVisitor &visit) const
-{
-    visit(fabricStats_);
-    downstream_->visitStatGroups(visit);
 }
 
 void
@@ -321,7 +146,6 @@ XBar::saveState(StateWriter &out) const
     out.u64Vec(portFree_);
     out.u64Vec(fastPortFree_);
     fabricStats_.saveState(out);
-    downstream_->saveState(out);
 }
 
 void
@@ -351,7 +175,6 @@ XBar::loadState(StateReader &in)
         throw SnapshotError("XBar port-horizon count mismatch");
     }
     fabricStats_.loadState(in);
-    downstream_->loadState(in);
 }
 
 } // namespace mnpu

@@ -1,9 +1,10 @@
 /**
  * @file
- * Crossbar fabric between the NPU cores and a memory backend
- * (DESIGN.md §14). Decorates any MemoryBackend: requests enter a
- * per-port FIFO (port = core % ports), pay a fixed traversal latency,
- * and are forwarded downstream at most one per port per cycle, paced
+ * Crossbar fabric between the NPU cores and the memory tiers
+ * (DESIGN.md §14): an optional stage the MemoryBackend puts in front
+ * of its tiers. Requests enter a per-port FIFO (port = core % ports),
+ * pay a fixed traversal latency, and are forwarded to the tier the
+ * backend routes them to at most one per port per cycle, paced
  * by the port's data width (a 64B transaction over a 16B-wide port
  * occupies the port 4 cycles). Responses return directly through the
  * completion callback — the fabric models the request path only (the
@@ -26,79 +27,70 @@
 #define MNPU_MEM_XBAR_HH
 
 #include <deque>
-#include <memory>
 #include <vector>
 
-#include "mem/memory_backend.hh"
+#include "common/snapshot.hh"
+#include "common/stats.hh"
+#include "dram/dram_channel.hh"
+#include "mem/mem_config.hh"
 
 namespace mnpu
 {
 
-class XBar : public MemoryBackend
+class DramSystem;
+class MemoryBackend;
+
+class XBar
 {
   public:
     /**
-     * @param downstream the backend behind the fabric (owned)
-     * @param config     port count/width/latency/queue depth;
-     *                   config.ports == 0 means one port per core
+     * @param config            port count/width/latency/queue depth;
+     *                          config.ports == 0 means one port per core
+     * @param num_cores         NPU cores issuing requests
+     * @param transaction_bytes bytes of one memory transaction
      */
-    XBar(std::unique_ptr<MemoryBackend> downstream,
-         const FabricConfig &config);
+    XBar(const FabricConfig &config, std::uint32_t num_cores,
+         std::uint64_t transaction_bytes);
 
-    bool tryEnqueue(const DramRequest &request, Cycle now) override;
-    bool canAccept(const DramRequest &request) const override;
-    void tick(Cycle now) override;
-    bool busy() const override;
+    bool canAccept(const DramRequest &request) const;
+    bool tryEnqueue(const DramRequest &request, Cycle now);
 
-    void setEventDriven(bool enabled) override;
-    bool poked() const override;
-    bool consumeRetrySignal() override;
-    Cycle nextEventCycle(Cycle now) const override;
+    /**
+     * Forward due port heads into @p memory's tiers. The backend ticks
+     * its tiers first, so a slot a tier frees this cycle is seen by
+     * this cycle's forwards under any stepping alike.
+     */
+    void tick(Cycle now, MemoryBackend &memory);
 
-    void applyPolicy(const SharingPolicy &policy) override;
+    /** Whether any port queue holds a request. */
+    bool busy() const;
 
-    Cycle fastTransfer(CoreId core, std::uint64_t num_tx, bool is_write,
-                       Cycle start) override;
-    void fastWalkTraffic(CoreId core, std::uint64_t num_steps,
-                         Cycle at) override;
-
-    void setCallback(DramCallback callback) override;
-    void setIntegrity(RequestLifecycleTracker *tracker,
-                      FaultInjector *injector) override;
-    void enableProtocolChecks() override;
-    std::uint64_t protocolStreamHash() const override;
-    std::uint64_t protocolCommandsChecked() const override;
-    void setTraceSink(TraceEventSink *sink) override;
-
-    void enableTelemetry(Cycle window_cycles) override;
-    void finalizeTelemetry() override;
-    bool telemetryEnabled() const override;
-    const IntervalTracer &coreTelemetry(CoreId core) const override;
-    const IntervalTracer &totalTelemetry() const override;
-    void enableRequestLog(const std::string &dir) override;
-    void flushRequestLogs() override;
-
-    const DramTiming &timing() const override;
-    std::uint32_t numCores() const override;
-    std::uint32_t numChannels() const override;
-    std::uint64_t coreBytes(CoreId core) const override;
-    std::uint64_t coreWalkBytes(CoreId core) const override;
-    std::uint64_t totalCounter(const std::string &stat_name) const override;
-    double peakBandwidthBytesPerSec() const override;
-    double totalEnergyPj(Cycle elapsed_cycles) const override;
-    void visitStatGroups(const StatGroupVisitor &visit) const override;
-
-    void saveState(StateWriter &out) const override;
-    void loadState(StateReader &in) override;
-
-    /** The fabric is transparent to identity: reports the backend's. */
-    const char *kindName() const override
+    /** True when a forward freed a port slot since the last call. */
+    bool consumeRetrySignal()
     {
-        return downstream_->kindName();
+        bool signal = retrySignal_;
+        retrySignal_ = false;
+        return signal;
     }
 
-    /** The wrapped backend (deprecated dram() forwarder unwrapping). */
-    const MemoryBackend &downstream() const { return *downstream_; }
+    /** The fabric's own bound; kCycleNever when every port is empty. */
+    Cycle nextEventCycle(Cycle now) const;
+
+    /**
+     * Analytic port model in front of @p tier's fastTransfer: the
+     * batch enters the port after the traversal latency, serializes
+     * behind the port's previous fast batch, and occupies the port
+     * txCycles per transaction.
+     */
+    Cycle fastTransfer(CoreId core, std::uint64_t num_tx, bool is_write,
+                       Cycle start, DramSystem &tier);
+
+    /** The `fabric.*` group: enqueued, forwarded, wait_cycles. */
+    const StatGroup &stats() const { return fabricStats_; }
+
+    /** Port queues, port horizons and stats (section "XBAR"). */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
     std::uint32_t numPorts() const
     {
@@ -120,7 +112,6 @@ class XBar : public MemoryBackend
         return static_cast<std::size_t>(core) % queues_.size();
     }
 
-    std::unique_ptr<MemoryBackend> downstream_;
     FabricConfig config_;
     Cycle txCycles_; //!< port occupancy of one transaction (>= 1)
 

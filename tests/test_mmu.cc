@@ -14,7 +14,7 @@
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
-#include "dram/dram_system.hh"
+#include "mem/memory_backend.hh"
 #include "mmu/mmu.hh"
 #include "mmu/paging.hh"
 #include "mmu/tlb.hh"
@@ -301,9 +301,19 @@ TEST(TlbTest, SharedTlbCrossCoreConflicts)
 
 // --- MMU front-end with a real DRAM behind it ---
 
+/** A DRAM-only memory system for two cores' walkers to read through. */
+std::unique_ptr<MemoryBackend>
+dramMemory(std::uint32_t channels, std::uint32_t queue_depth)
+{
+    return makeMemoryBackend(MemBackendKind::Dram, DramTiming::hbm2(),
+                             channels, /*num_cores=*/2, queue_depth,
+                             PcmConfig{}, FabricConfig{});
+}
+
 struct MmuHarness
 {
-    DramSystem dram{DramTiming::hbm2(), 2, 2, 32};
+    std::unique_ptr<MemoryBackend> memory = dramMemory(2, 32);
+    MemoryBackend &dram = *memory;
     PageAllocator allocator{0, 256ULL << 20, 4096};
     PageTableModel pageTable{allocator};
     std::unique_ptr<Mmu> mmu;
@@ -395,7 +405,8 @@ TEST(MmuTest, LargerPagesWalkFewerLevels)
 {
     std::map<std::uint64_t, std::uint64_t> reads_by_page;
     for (std::uint64_t page : {4096ull, 64ull << 10, 1ull << 20}) {
-        DramSystem dram(DramTiming::hbm2(), 2, 2, 32);
+        auto memory = dramMemory(2, 32);
+        MemoryBackend &dram = *memory;
         PageAllocator allocator(0, 256ULL << 20, page);
         PageTableModel table(allocator);
         MmuConfig config;
@@ -543,7 +554,8 @@ TEST(MmuTest, BoundedModeValidation)
     config.ptwMode = PtwPartitionMode::Bounded;
     config.ptwMin = {5, 5}; // over-reserved
     config.ptwMax = {8, 8};
-    DramSystem dram(DramTiming::hbm2(), 2, 2, 32);
+    auto memory = dramMemory(2, 32);
+    MemoryBackend &dram = *memory;
     PageAllocator allocator(0, 64ULL << 20, 4096);
     PageTableModel table(allocator);
     EXPECT_THROW(Mmu(config, allocator, table, dram), FatalError);
@@ -559,7 +571,8 @@ TEST(MmuTest, QuotaValidation)
     config.numCores = 2;
     config.totalPtws = 16;
     config.ptwMode = PtwPartitionMode::Static;
-    DramSystem dram(DramTiming::hbm2(), 2, 2, 32);
+    auto memory = dramMemory(2, 32);
+    MemoryBackend &dram = *memory;
     PageAllocator allocator(0, 64ULL << 20, 4096);
     PageTableModel table(allocator);
     config.ptwQuota = {8, 9}; // sums to 17
@@ -613,7 +626,8 @@ TEST(MmuTest, WalkerStateCountsMatchFullScan)
     // refused often, so walkers sit in every state, including
     // WaitIssue. After every tick and after every snapshot restore the
     // kept per-state counts must equal a full scan of the walkers.
-    DramSystem dram(DramTiming::hbm2(), 1, 2, 2);
+    auto memory = dramMemory(1, 2);
+    MemoryBackend &dram = *memory;
     PageAllocator allocator(0, 256ULL << 20, 4096);
     PageTableModel table(allocator);
     MmuConfig config;
