@@ -148,20 +148,18 @@ class FaultInjector
      * refrains from firing) the planned fault exactly as the
      * uninterrupted run would have.
      */
-    void
-    saveState(StateWriter &out) const
-    {
-        out.u64(seen_);
-        out.b(fired_);
-    }
-    void
-    loadState(StateReader &in)
-    {
-        seen_ = in.u64();
-        fired_ = in.b();
-    }
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io>
+    static void
+    visitState(Self &self, Io &io)
+    {
+        io.u64(self.seen_);
+        io.b(self.fired_);
+    }
+
     FaultPlan plan_;
     std::uint64_t seen_ = 0;
     bool fired_ = false;

@@ -421,113 +421,63 @@ RequestLifecycleTracker::finalAudit(
     }
 }
 
+template <class Self, class Io>
 void
-DramProtocolChecker::saveState(StateWriter &out) const
+DramProtocolChecker::visitState(Self &self, Io &io)
 {
-    out.section("PCHK");
-    out.u64(banks_.size());
-    for (const BankShadow &bank : banks_) {
-        out.i64(bank.openRow);
-        out.u64(bank.actAt);
-        out.u64(bank.actAllowedAt);
-        out.u64(bank.preEffectiveAt);
-        out.u64(bank.lastReadAt);
-        out.u64(bank.writeDoneAt);
+    io.section("PCHK");
+    io.expect(self.banks_.size(), "protocol checker bank count mismatch");
+    for (auto &bank : self.banks_) {
+        io.i64(bank.openRow);
+        io.u64(bank.actAt);
+        io.u64(bank.actAllowedAt);
+        io.u64(bank.preEffectiveAt);
+        io.u64(bank.lastReadAt);
+        io.u64(bank.writeDoneAt);
     }
-    out.u64(ranks_.size());
-    for (const RankShadow &rank : ranks_) {
-        for (Cycle at : rank.actWindow)
-            out.u64(at);
-        out.u64(rank.actPtr);
-        out.u64(rank.nextActAllowedAt);
-        out.u64(rank.refreshDueAt);
-        out.u64(rank.refreshingUntil);
+    io.expect(self.ranks_.size(), "protocol checker rank count mismatch");
+    for (auto &rank : self.ranks_) {
+        for (auto &at : rank.actWindow)
+            io.u64(at);
+        io.u64(rank.actPtr);
+        io.check(rank.actPtr < rank.actWindow.size(),
+                 "protocol checker actPtr out of range");
+        io.u64(rank.nextActAllowedAt);
+        io.u64(rank.refreshDueAt);
+        io.u64(rank.refreshingUntil);
     }
-    out.u64(lastColumnAt_);
-    out.b(lastColumnWasWrite_);
-    out.b(haveColumn_);
-    out.u64(commands_);
-    out.u64(streamHash_);
+    io.u64(self.lastColumnAt_);
+    io.b(self.lastColumnWasWrite_);
+    io.b(self.haveColumn_);
+    io.u64(self.commands_);
+    io.u64(self.streamHash_);
 }
 
+template void DramProtocolChecker::visitState(
+    const DramProtocolChecker &, StateWriter &);
+template void DramProtocolChecker::visitState(
+    DramProtocolChecker &, StateReader &);
+
+template <class Self, class Io>
 void
-DramProtocolChecker::loadState(StateReader &in)
+RequestLifecycleTracker::visitState(Self &self, Io &io)
 {
-    in.section("PCHK");
-    if (in.u64() != banks_.size())
-        throw SnapshotError("protocol checker bank count mismatch");
-    for (BankShadow &bank : banks_) {
-        bank.openRow = in.i64();
-        bank.actAt = in.u64();
-        bank.actAllowedAt = in.u64();
-        bank.preEffectiveAt = in.u64();
-        bank.lastReadAt = in.u64();
-        bank.writeDoneAt = in.u64();
-    }
-    if (in.u64() != ranks_.size())
-        throw SnapshotError("protocol checker rank count mismatch");
-    for (RankShadow &rank : ranks_) {
-        for (Cycle &at : rank.actWindow)
-            at = in.u64();
-        rank.actPtr = static_cast<std::size_t>(in.u64());
-        if (rank.actPtr >= rank.actWindow.size())
-            throw SnapshotError("protocol checker actPtr out of range");
-        rank.nextActAllowedAt = in.u64();
-        rank.refreshDueAt = in.u64();
-        rank.refreshingUntil = in.u64();
-    }
-    lastColumnAt_ = in.u64();
-    lastColumnWasWrite_ = in.b();
-    haveColumn_ = in.b();
-    commands_ = in.u64();
-    streamHash_ = in.u64();
+    io.section("LIFE");
+    io.u64(self.nextId_);
+    io.sortedMap(self.pending_, [&io](auto &entry) {
+        io.u64(entry.paddr);
+        io.u32(entry.core);
+        io.b(entry.walk);
+    });
+    io.fixedU64Vec(self.dataCompleted_,
+                   "lifecycle tracker core count mismatch");
+    io.fixedU64Vec(self.walkCompleted_,
+                   "lifecycle tracker core count mismatch");
 }
 
-void
-RequestLifecycleTracker::saveState(StateWriter &out) const
-{
-    out.section("LIFE");
-    out.u64(nextId_);
-    std::vector<std::uint64_t> ids;
-    ids.reserve(pending_.size());
-    for (const auto &[id, unused] : pending_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    out.u64(ids.size());
-    for (std::uint64_t id : ids) {
-        const Pending &entry = pending_.at(id);
-        out.u64(id);
-        out.u64(entry.paddr);
-        out.u32(entry.core);
-        out.b(entry.walk);
-    }
-    out.u64Vec(dataCompleted_);
-    out.u64Vec(walkCompleted_);
-}
-
-void
-RequestLifecycleTracker::loadState(StateReader &in)
-{
-    in.section("LIFE");
-    nextId_ = in.u64();
-    std::uint64_t n = in.u64();
-    pending_.clear();
-    pending_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t id = in.u64();
-        Pending entry{};
-        entry.paddr = in.u64();
-        entry.core = in.u32();
-        entry.walk = in.b();
-        pending_[id] = entry;
-    }
-    std::vector<std::uint64_t> data = in.u64Vec();
-    std::vector<std::uint64_t> walk = in.u64Vec();
-    if (data.size() != dataCompleted_.size() ||
-        walk.size() != walkCompleted_.size())
-        throw SnapshotError("lifecycle tracker core count mismatch");
-    dataCompleted_ = std::move(data);
-    walkCompleted_ = std::move(walk);
-}
+template void RequestLifecycleTracker::visitState(
+    const RequestLifecycleTracker &, StateWriter &);
+template void RequestLifecycleTracker::visitState(
+    RequestLifecycleTracker &, StateReader &);
 
 } // namespace mnpu

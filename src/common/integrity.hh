@@ -128,10 +128,12 @@ class DramProtocolChecker
      * equals the uninterrupted run's — the cross-restore witness the
      * snapshot equivalence tests assert on.
      */
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     struct BankShadow
     {
         std::int64_t openRow = -1;
@@ -230,10 +232,12 @@ class RequestLifecycleTracker
      * trace expectations are reconstructed from config at build time
      * and deliberately not serialized.
      */
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     struct Pending
     {
         Addr paddr;

@@ -61,27 +61,20 @@ IntervalTracer::movingAverage(std::size_t span) const
     return averaged;
 }
 
+template <class Self, class Io>
 void
-IntervalTracer::saveState(StateWriter &out) const
+IntervalTracer::visitState(Self &self, Io &io)
 {
-    out.section("ITRC");
-    out.u64(window_);
-    out.u64(currentIndex_);
-    out.u64(currentTotal_);
-    out.b(finalized_);
-    out.u64Vec(totals_);
+    io.section("ITRC");
+    io.expect(self.window_, "interval tracer window mismatch");
+    io.u64(self.currentIndex_);
+    io.u64(self.currentTotal_);
+    io.b(self.finalized_);
+    io.u64Vec(self.totals_);
 }
 
-void
-IntervalTracer::loadState(StateReader &in)
-{
-    in.section("ITRC");
-    if (in.u64() != window_)
-        throw SnapshotError("interval tracer window mismatch");
-    currentIndex_ = static_cast<std::size_t>(in.u64());
-    currentTotal_ = in.u64();
-    finalized_ = in.b();
-    totals_ = in.u64Vec();
-}
+template void IntervalTracer::visitState(
+    const IntervalTracer &, StateWriter &);
+template void IntervalTracer::visitState(IntervalTracer &, StateReader &);
 
 } // namespace mnpu

@@ -42,10 +42,12 @@ class IntervalTracer
      */
     std::vector<double> movingAverage(std::size_t span) const;
 
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     Cycle window_;
     std::size_t currentIndex_ = 0;
     std::uint64_t currentTotal_ = 0;

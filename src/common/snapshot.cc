@@ -187,6 +187,24 @@ StateReader::section(const char (&tag)[5])
     }
 }
 
+std::uint64_t
+StateReader::count()
+{
+    const std::uint64_t n = u64();
+    if (n > bytes_.size() - pos_)
+        throw SnapshotError("snapshot vector truncated");
+    return n;
+}
+
+void
+StateReader::fixedU64Vec(std::vector<std::uint64_t> &v, const char *what)
+{
+    std::vector<std::uint64_t> read = u64Vec();
+    if (read.size() != v.size())
+        throw SnapshotError(what);
+    v = std::move(read);
+}
+
 std::vector<std::uint64_t>
 StateReader::u64Vec()
 {

@@ -20,6 +20,26 @@
  *    component's state and turn "loader drifted out of sync" into a
  *    precise error instead of garbage state.
  *
+ *    Both classes share one verb set that takes references, so a
+ *    component lists its state fields once, in a
+ *    `template <class Self, class Io> static void visitState(Self &,
+ *    Io &)` that `saveState() const` and `loadState()` both call. The
+ *    writer only reads each argument (const references or values); the
+ *    reader assigns it. The shared verbs:
+ *      u8 b u32 u64 i64 d str u64Vec section -- one wire value each;
+ *      e8(enum) / op(MemOp) -- an enum as one byte;
+ *      state(part)         -- a sub-component's saveState/loadState;
+ *      expect(v, what)     -- geometry (bool, u32 or u64) the loader
+ *                             requires to match the live value;
+ *      fixedU64Vec(v, what) -- a u64 vector whose length must match;
+ *      check(ok, what)     -- a load-only range check (no-op on save);
+ *      count(n) / resize(c, n) -- a length prefix, and a resize the
+ *                             loader applies and the writer skips;
+ *      seq(items, each)    -- a length-prefixed sequence;
+ *      sortedMap(map, each) -- a hash map keyed by u64, in ascending
+ *                             key order so the bytes are deterministic.
+ *    Every loader-side failure throws SnapshotError naming the field.
+ *
  *  - The file format: magic "MNPUSNAP", a format version, the payload
  *    length, and an FNV-1a checksum over the payload. Loading rejects
  *    a bad magic, an unknown version, a short file, or a checksum
@@ -38,6 +58,7 @@
 #ifndef MNPU_COMMON_SNAPSHOT_HH
 #define MNPU_COMMON_SNAPSHOT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -96,6 +117,52 @@ class StateWriter
 
     void u64Vec(const std::vector<std::uint64_t> &v);
 
+    // --- Shared verbs (see the file comment); StateReader mirrors each.
+    template <class E> void e8(E v) { u8(static_cast<std::uint8_t>(v)); }
+    void op(MemOp v) { u8(v == MemOp::Write ? 1 : 0); }
+    template <class T> void state(const T &part) { part.saveState(*this); }
+    void expect(bool v, const char *) { b(v); }
+    void expect(std::uint32_t v, const char *) { u32(v); }
+    void expect(std::uint64_t v, const char *) { u64(v); }
+    void
+    fixedU64Vec(const std::vector<std::uint64_t> &v, const char *)
+    {
+        u64Vec(v);
+    }
+    void check(bool, const char *) {}
+    std::uint64_t
+    count(std::uint64_t n)
+    {
+        u64(n);
+        return n;
+    }
+    template <class C> void resize(const C &, std::uint64_t) {}
+
+    template <class Seq, class Fn>
+    void
+    seq(const Seq &items, Fn &&each)
+    {
+        count(items.size());
+        for (const auto &item : items)
+            each(item);
+    }
+
+    template <class Map, class Fn>
+    void
+    sortedMap(const Map &map, Fn &&each)
+    {
+        std::vector<std::uint64_t> keys;
+        keys.reserve(map.size());
+        for (const auto &entry : map)
+            keys.push_back(entry.first);
+        std::sort(keys.begin(), keys.end());
+        count(keys.size());
+        for (std::uint64_t key : keys) {
+            u64(key);
+            each(map.at(key));
+        }
+    }
+
     const std::string &bytes() const { return bytes_; }
 
   private:
@@ -120,6 +187,73 @@ class StateReader
     void section(const char (&tag)[5]);
 
     std::vector<std::uint64_t> u64Vec();
+
+    // --- Shared verbs (see the file comment): each assigns its argument.
+    template <class T> void u8(T &v) { v = static_cast<T>(u8()); }
+    void b(bool &v) { v = b(); }
+    template <class T> void u32(T &v) { v = static_cast<T>(u32()); }
+    template <class T> void u64(T &v) { v = static_cast<T>(u64()); }
+    void i64(std::int64_t &v) { v = i64(); }
+    void d(double &v) { v = d(); }
+    void str(std::string &v) { v = str(); }
+    void u64Vec(std::vector<std::uint64_t> &v) { v = u64Vec(); }
+    template <class E> void e8(E &v) { v = static_cast<E>(u8()); }
+    void op(MemOp &v) { v = u8() != 0 ? MemOp::Write : MemOp::Read; }
+    template <class T> void state(T &part) { part.loadState(*this); }
+    void expect(bool v, const char *what) { check(b() == v, what); }
+    void
+    expect(std::uint32_t v, const char *what)
+    {
+        check(u32() == v, what);
+    }
+    void expect(std::uint64_t v, const char *what) { check(u64() == v, what); }
+    void fixedU64Vec(std::vector<std::uint64_t> &v, const char *what);
+    void
+    check(bool ok, const char *what)
+    {
+        if (!ok)
+            throw SnapshotError(what);
+    }
+    /**
+     * A length prefix. Every counted item takes at least one payload
+     * byte, so a count beyond the bytes left is rejected before any
+     * container grows to it.
+     */
+    std::uint64_t count();
+    template <class T>
+    std::uint64_t
+    count(T &n)
+    {
+        const std::uint64_t value = count();
+        n = static_cast<T>(value);
+        return value;
+    }
+    template <class C>
+    void
+    resize(C &c, std::uint64_t n)
+    {
+        c.resize(static_cast<std::size_t>(n));
+    }
+
+    template <class Seq, class Fn>
+    void
+    seq(Seq &items, Fn &&each)
+    {
+        resize(items, count());
+        for (auto &item : items)
+            each(item);
+    }
+
+    template <class Map, class Fn>
+    void
+    sortedMap(Map &map, Fn &&each)
+    {
+        const std::uint64_t n = count();
+        map.clear();
+        map.reserve(static_cast<std::size_t>(n));
+        for (std::uint64_t i = 0; i < n; ++i)
+            each(map[u64()]);
+    }
 
     bool atEnd() const { return pos_ == bytes_.size(); }
 

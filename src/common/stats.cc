@@ -136,73 +136,45 @@ StatGroup::resetAll()
         d.reset();
 }
 
+template <class Self, class Io>
 void
-Distribution::saveState(StateWriter &out) const
+StatGroup::visitState(Self &self, Io &io)
 {
-    out.u64(count_);
-    out.d(sum_);
-    out.d(sumSquares_);
-    out.d(min_);
-    out.d(max_);
-}
-
-void
-Distribution::loadState(StateReader &in)
-{
-    count_ = in.u64();
-    sum_ = in.d();
-    sumSquares_ = in.d();
-    min_ = in.d();
-    max_ = in.d();
-}
-
-void
-StatGroup::saveState(StateWriter &out) const
-{
-    out.section("STAT");
-    out.u64(order_.size());
-    for (const auto &stat_name : order_) {
-        out.str(stat_name);
-        if (auto it = counters_.find(stat_name); it != counters_.end()) {
-            out.u8('C');
-            it->second.saveState(out);
-        } else {
-            out.u8('D');
-            distributions_.at(stat_name).saveState(out);
-        }
-    }
-}
-
-void
-StatGroup::loadState(StateReader &in)
-{
-    in.section("STAT");
-    std::uint64_t n = in.u64();
-    if (n != order_.size())
-        throw SnapshotError("stat group '" + name_ +
+    io.section("STAT");
+    // The saved side names each stat in registration order; the
+    // loaded side looks every name up, so only the set must match.
+    std::uint64_t n = self.order_.size();
+    io.u64(n);
+    if (n != self.order_.size())
+        throw SnapshotError("stat group '" + self.name_ +
                             "': registration count mismatch");
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::string stat_name = in.str();
-        std::uint8_t kind = in.u8();
+        std::string stat_name = self.order_[i];
+        io.str(stat_name);
+        std::uint8_t kind = self.counters_.count(stat_name) ? 'C' : 'D';
+        io.u8(kind);
         if (kind == 'C') {
-            auto it = counters_.find(stat_name);
-            if (it == counters_.end())
-                throw SnapshotError("stat group '" + name_ +
+            auto it = self.counters_.find(stat_name);
+            if (it == self.counters_.end())
+                throw SnapshotError("stat group '" + self.name_ +
                                     "': unknown counter '" + stat_name +
                                     "'");
-            it->second.loadState(in);
+            io.state(it->second);
         } else if (kind == 'D') {
-            auto it = distributions_.find(stat_name);
-            if (it == distributions_.end())
-                throw SnapshotError("stat group '" + name_ +
+            auto it = self.distributions_.find(stat_name);
+            if (it == self.distributions_.end())
+                throw SnapshotError("stat group '" + self.name_ +
                                     "': unknown distribution '" +
                                     stat_name + "'");
-            it->second.loadState(in);
+            io.state(it->second);
         } else {
-            throw SnapshotError("stat group '" + name_ +
+            throw SnapshotError("stat group '" + self.name_ +
                                 "': bad stat kind");
         }
     }
 }
+
+template void StatGroup::visitState(const StatGroup &, StateWriter &);
+template void StatGroup::visitState(StatGroup &, StateReader &);
 
 } // namespace mnpu

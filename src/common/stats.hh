@@ -28,7 +28,7 @@ class Counter
     std::uint64_t value() const { return total_; }
 
     void saveState(StateWriter &out) const { out.u64(total_); }
-    void loadState(StateReader &in) { total_ = in.u64(); }
+    void loadState(StateReader &in) { in.u64(total_); }
 
   private:
     std::uint64_t total_ = 0;
@@ -49,10 +49,21 @@ class Distribution
     /** Population standard deviation. */
     double stddev() const;
 
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io>
+    static void
+    visitState(Self &self, Io &io)
+    {
+        io.u64(self.count_);
+        io.d(self.sum_);
+        io.d(self.sumSquares_);
+        io.d(self.min_);
+        io.d(self.max_);
+    }
+
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double sumSquares_ = 0.0;
@@ -126,10 +137,12 @@ class StatGroup
      * the snapshot came from a different configuration and throws
      * SnapshotError (discard + from-scratch).
      */
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     std::string name_;
     std::vector<std::string> order_;
     std::map<std::string, Counter> counters_;

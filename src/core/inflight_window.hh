@@ -126,6 +126,23 @@ class InflightWindow
     /** Double the table and re-place every entry. */
     void grow();
 
+    /**
+     * The slot list's one field list. The table layout itself is not
+     * state: saveState lists the live slots by tag, and loadState
+     * re-inserts them.
+     */
+    template <class Io, class Slots>
+    static void
+    visitSlots(Io &io, Slots &live)
+    {
+        io.seq(live, [&io](auto &slot) {
+            io.u64(slot.tag);
+            io.u32(slot.info.tile);
+            io.op(slot.info.op);
+            io.e8(slot.info.region);
+        });
+    }
+
     std::uint64_t initialSlots_;
     std::vector<Slot> slots_;
     std::uint64_t size_ = 0;

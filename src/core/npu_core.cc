@@ -674,143 +674,65 @@ NpuCore::finalizeRequestTrace()
         requestTracer_->finalize();
 }
 
+template <class Self, class Io>
 void
-NpuCore::saveState(StateWriter &out) const
+NpuCore::visitState(Self &self, Io &io)
 {
-    out.section("CORE");
-    out.b(started_);
-    out.b(done_);
-    out.b(stalled_);
-    out.u64(startedAtGlobal_);
-    out.u64(finishedAtGlobal_);
-    out.u32(iteration_);
+    io.section("CORE");
+    io.b(self.started_);
+    io.b(self.done_);
+    io.b(self.stalled_);
+    io.u64(self.startedAtGlobal_);
+    io.u64(self.finishedAtGlobal_);
+    io.u32(self.iteration_);
 
-    out.u64(tiles_.size());
-    for (const TileState &tile : tiles_) {
-        out.b(tile.loadsIssued);
-        out.u32(tile.loadsOutstanding);
-        out.b(tile.computeStarted);
-        out.b(tile.computeDone);
-        out.u64(tile.computeDoneLocal);
-        out.b(tile.storesIssued);
-        out.u32(tile.storesOutstanding);
-        out.u64(tile.loadsDoneAt);
-        out.u64(tile.storesDoneAt);
+    io.expect(self.tiles_.size(), "core tile count mismatch");
+    for (auto &tile : self.tiles_) {
+        io.b(tile.loadsIssued);
+        io.u32(tile.loadsOutstanding);
+        io.b(tile.computeStarted);
+        io.b(tile.computeDone);
+        io.u64(tile.computeDoneLocal);
+        io.b(tile.storesIssued);
+        io.u32(tile.storesOutstanding);
+        io.u64(tile.loadsDoneAt);
+        io.u64(tile.storesDoneAt);
     }
-    out.u32(loadTile_);
-    out.u32(computeTile_);
-    out.u32(storeTile_);
-    out.u32(retireTile_);
-    auto put_cursor = [&out](const RangeCursor &cursor) {
-        out.u64(cursor.rangeIdx);
-        out.u64(cursor.next);
-        out.u64(cursor.end);
-        out.b(cursor.primed);
-    };
-    put_cursor(loadCursor_);
-    put_cursor(storeCursor_);
-    out.u64(computeFreeLocal_);
+    io.u32(self.loadTile_);
+    io.u32(self.computeTile_);
+    io.u32(self.storeTile_);
+    io.u32(self.retireTile_);
+    for (auto *cursor : {&self.loadCursor_, &self.storeCursor_}) {
+        io.u64(cursor->rangeIdx);
+        io.u64(cursor->next);
+        io.u64(cursor->end);
+        io.b(cursor->primed);
+    }
+    io.u64(self.computeFreeLocal_);
 
-    out.u64(nextSeq_);
-    inflightTx_.saveState(out);
-    out.u64(dramReady_.size());
-    for (const DramRequest &request : dramReady_) {
-        out.u64(request.paddr);
-        out.u8(request.op == MemOp::Write ? 1 : 0);
-        out.u32(request.core);
-        out.u64(request.tag);
-        out.b(request.priority);
-        out.u64(request.integrityId);
-        out.u64(request.enqueuedAt);
-        out.u8(static_cast<std::uint8_t>(request.region));
-    }
-    out.u32(xlatOutstanding_);
-    out.u64(lastLocalSeen_);
-    out.u64(issueBudget_);
-    out.b(budgetPrimed_);
-    out.u64(fastDmaFreeGlobal_);
-    out.b(dramBlocked_);
-    out.b(xlatBlocked_);
-    out.b(poked_);
-    out.u64Vec(layerFinishLocal_);
-    out.u64(nextLayerToFinish_);
-    out.u64Vec(layerStartLocal_);
-    out.b(requestTracer_.has_value());
-    if (requestTracer_)
-        requestTracer_->saveState(out);
-    stats_.saveState(out);
+    io.u64(self.nextSeq_);
+    io.state(self.inflightTx_);
+    io.seq(self.dramReady_,
+           [&io](auto &request) { visitRequest(io, request); });
+    io.u32(self.xlatOutstanding_);
+    io.u64(self.lastLocalSeen_);
+    io.u64(self.issueBudget_);
+    io.b(self.budgetPrimed_);
+    io.u64(self.fastDmaFreeGlobal_);
+    io.b(self.dramBlocked_);
+    io.b(self.xlatBlocked_);
+    io.b(self.poked_);
+    io.u64Vec(self.layerFinishLocal_);
+    io.u64(self.nextLayerToFinish_);
+    io.u64Vec(self.layerStartLocal_);
+    io.expect(self.requestTracer_.has_value(),
+              "request-trace enablement mismatch");
+    if (self.requestTracer_)
+        io.state(*self.requestTracer_);
+    io.state(self.stats_);
 }
 
-void
-NpuCore::loadState(StateReader &in)
-{
-    in.section("CORE");
-    started_ = in.b();
-    done_ = in.b();
-    stalled_ = in.b();
-    startedAtGlobal_ = in.u64();
-    finishedAtGlobal_ = in.u64();
-    iteration_ = in.u32();
-
-    if (in.u64() != tiles_.size())
-        throw SnapshotError("core tile count mismatch");
-    for (TileState &tile : tiles_) {
-        tile.loadsIssued = in.b();
-        tile.loadsOutstanding = in.u32();
-        tile.computeStarted = in.b();
-        tile.computeDone = in.b();
-        tile.computeDoneLocal = in.u64();
-        tile.storesIssued = in.b();
-        tile.storesOutstanding = in.u32();
-        tile.loadsDoneAt = in.u64();
-        tile.storesDoneAt = in.u64();
-    }
-    loadTile_ = in.u32();
-    computeTile_ = in.u32();
-    storeTile_ = in.u32();
-    retireTile_ = in.u32();
-    auto get_cursor = [&in](RangeCursor &cursor) {
-        cursor.rangeIdx = in.u64();
-        cursor.next = in.u64();
-        cursor.end = in.u64();
-        cursor.primed = in.b();
-    };
-    get_cursor(loadCursor_);
-    get_cursor(storeCursor_);
-    computeFreeLocal_ = in.u64();
-
-    nextSeq_ = in.u64();
-    inflightTx_.loadState(in);
-    dramReady_.clear();
-    std::uint64_t num_ready = in.u64();
-    for (std::uint64_t i = 0; i < num_ready; ++i) {
-        DramRequest request;
-        request.paddr = in.u64();
-        request.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-        request.core = in.u32();
-        request.tag = in.u64();
-        request.priority = in.b();
-        request.integrityId = in.u64();
-        request.enqueuedAt = in.u64();
-        request.region = static_cast<MemRegion>(in.u8());
-        dramReady_.push_back(request);
-    }
-    xlatOutstanding_ = in.u32();
-    lastLocalSeen_ = in.u64();
-    issueBudget_ = in.u64();
-    budgetPrimed_ = in.b();
-    fastDmaFreeGlobal_ = in.u64();
-    dramBlocked_ = in.b();
-    xlatBlocked_ = in.b();
-    poked_ = in.b();
-    layerFinishLocal_ = in.u64Vec();
-    nextLayerToFinish_ = in.u64();
-    layerStartLocal_ = in.u64Vec();
-    if (in.b() != requestTracer_.has_value())
-        throw SnapshotError("request-trace enablement mismatch");
-    if (requestTracer_)
-        requestTracer_->loadState(in);
-    stats_.loadState(in);
-}
+template void NpuCore::visitState(const NpuCore &, StateWriter &);
+template void NpuCore::visitState(NpuCore &, StateReader &);
 
 } // namespace mnpu

@@ -180,10 +180,12 @@ class NpuCore
      * fast-fidelity horizons, blocked/poked flags, layer span
      * bookkeeping, the request tracer (if enabled), and stats.
      */
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     struct TileState
     {
         bool loadsIssued = false;  //!< all read txns handed to the MMU

@@ -651,157 +651,88 @@ DramChannel::nextEventCycle(Cycle now) const
     return std::min(next, refreshBound(now));
 }
 
+template <class Self, class Io>
 void
-DramChannel::saveState(StateWriter &out) const
+DramChannel::visitState(Self &self, Io &io)
 {
-    out.section("DCHN");
-    out.u32(queueDepth_);
-    out.u64(banks_.size());
-    out.u64(ranks_.size());
+    io.section("DCHN");
+    io.expect(self.queueDepth_, "DRAM channel queue depth mismatch");
+    io.expect(self.banks_.size(), "DRAM channel geometry mismatch");
+    io.expect(self.ranks_.size(), "DRAM channel geometry mismatch");
 
     // The SoA queue in array order: the swap-with-back layout is part
     // of the state (it decides which slot later removals move), and
     // the ages restore the FCFS order loadState rebuilds the per-bank
     // lists from. The bank index itself is derived, not written.
-    out.u64(queueSize());
-    for (std::size_t i = 0; i < queueSize(); ++i) {
-        out.u32(qFlat_[i]);
-        out.u64(qRow_[i]);
-        out.u32(banks_[qFlat_[i]].rank);
-        out.u8(qPriority_[i]);
-        out.u8(qWrite_[i]);
-        out.u64(qAge_[i]);
-        out.u64(qArrival_[i]);
-        out.u8(qCausedActivate_[i]);
-        const DramRequest &req = qRequest_[i];
-        out.u64(req.paddr);
-        out.u8(req.op == MemOp::Write ? 1 : 0);
-        out.u32(req.core);
-        out.u64(req.tag);
-        out.b(req.priority);
-        out.u64(req.integrityId);
-        out.u64(req.enqueuedAt);
+    std::uint64_t n = self.queueSize();
+    io.count(n);
+    io.check(n <= self.queueDepth_, "DRAM channel queue overflows its depth");
+    io.resize(self.qFlat_, n);
+    io.resize(self.qRow_, n);
+    io.resize(self.qPriority_, n);
+    io.resize(self.qWrite_, n);
+    io.resize(self.qAge_, n);
+    io.resize(self.qArrival_, n);
+    io.resize(self.qCausedActivate_, n);
+    io.resize(self.qRequest_, n);
+    io.resize(self.qLink_, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        io.u32(self.qFlat_[i]);
+        io.check(self.qFlat_[i] < self.banks_.size(),
+                 "DRAM queue entry names a bad bank");
+        io.u64(self.qRow_[i]);
+        io.expect(self.banks_[self.qFlat_[i]].rank,
+                  "DRAM queue entry names a bad rank");
+        io.u8(self.qPriority_[i]);
+        io.u8(self.qWrite_[i]);
+        io.u64(self.qAge_[i]);
+        io.u64(self.qArrival_[i]);
+        io.u8(self.qCausedActivate_[i]);
+        visitRequest(io, self.qRequest_[i], false);
     }
-    out.u64(nextAge_);
-    out.u32(priorityQueued_);
+    io.u64(self.nextAge_);
+    io.u32(self.priorityQueued_);
+    io.check(std::none_of(self.qAge_.begin(), self.qAge_.end(),
+                          [&](std::uint64_t age) {
+                              return age >= self.nextAge_;
+                          }),
+             "DRAM queue entry is younger than its channel");
 
     // Completion heap array verbatim: restoring the same array yields
     // the same heap, so equal-`at` completions pop in the same order.
-    out.u64(completions_.size());
-    for (const Completion &done : completions_) {
-        out.u64(done.at);
-        out.u64(done.request.paddr);
-        out.u8(done.request.op == MemOp::Write ? 1 : 0);
-        out.u32(done.request.core);
-        out.u64(done.request.tag);
-        out.b(done.request.priority);
-        out.u64(done.request.integrityId);
-        out.u64(done.request.enqueuedAt);
-    }
+    io.seq(self.completions_, [&io](auto &done) {
+        io.u64(done.at);
+        visitRequest(io, done.request, false);
+    });
 
-    for (const BankState &bank : banks_) {
-        out.i64(bank.openRow);
-        out.u64(bank.nextActivate);
-        out.u64(bank.nextColumn);
-        out.u64(bank.nextPrecharge);
+    for (auto &bank : self.banks_) {
+        io.i64(bank.openRow);
+        io.u64(bank.nextActivate);
+        io.u64(bank.nextColumn);
+        io.u64(bank.nextPrecharge);
     }
-    for (const RankState &rank : ranks_) {
-        out.u64Vec(rank.actWindow);
-        out.u64(rank.actPtr);
-        out.u64(rank.nextActivate);
-        out.u64(rank.refreshDueAt);
-        out.u64(rank.refreshingUntil);
+    for (auto &rank : self.ranks_) {
+        io.fixedU64Vec(rank.actWindow, "DRAM rank tFAW window size mismatch");
+        io.u64(rank.actPtr);
+        io.check(rank.actPtr < rank.actWindow.size(),
+                 "DRAM rank tFAW pointer out of range");
+        io.u64(rank.nextActivate);
+        io.u64(rank.refreshDueAt);
+        io.u64(rank.refreshingUntil);
     }
-    out.u64(nextColumnSame_);
-    out.u64(nextColumnSwitch_);
-    out.b(lastOpWasWrite_);
-    out.u64(boundAfterTick_);
-    stats_.saveState(out);
+    io.u64(self.nextColumnSame_);
+    io.u64(self.nextColumnSwitch_);
+    io.b(self.lastOpWasWrite_);
+    io.u64(self.boundAfterTick_);
+    io.state(self.stats_);
 }
+
+template void DramChannel::visitState(const DramChannel &, StateWriter &);
 
 void
 DramChannel::loadState(StateReader &in)
 {
-    in.section("DCHN");
-    if (in.u32() != queueDepth_)
-        throw SnapshotError("DRAM channel queue depth mismatch");
-    if (in.u64() != banks_.size() || in.u64() != ranks_.size())
-        throw SnapshotError("DRAM channel geometry mismatch");
-
-    std::uint64_t n = in.u64();
-    if (n > queueDepth_)
-        throw SnapshotError("DRAM channel queue overflows its depth");
-    qFlat_.resize(n);
-    qRow_.resize(n);
-    qPriority_.resize(n);
-    qWrite_.resize(n);
-    qAge_.resize(n);
-    qArrival_.resize(n);
-    qCausedActivate_.resize(n);
-    qRequest_.resize(n);
-    qLink_.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        qFlat_[i] = in.u32();
-        if (qFlat_[i] >= banks_.size())
-            throw SnapshotError("DRAM queue entry names a bad bank");
-        qRow_[i] = in.u64();
-        if (in.u32() != banks_[qFlat_[i]].rank)
-            throw SnapshotError("DRAM queue entry names a bad rank");
-        qPriority_[i] = in.u8();
-        qWrite_[i] = in.u8();
-        qAge_[i] = in.u64();
-        qArrival_[i] = in.u64();
-        qCausedActivate_[i] = in.u8();
-        DramRequest &req = qRequest_[i];
-        req.paddr = in.u64();
-        req.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-        req.core = in.u32();
-        req.tag = in.u64();
-        req.priority = in.b();
-        req.integrityId = in.u64();
-        req.enqueuedAt = in.u64();
-    }
-    nextAge_ = in.u64();
-    priorityQueued_ = in.u32();
-    if (std::any_of(qAge_.begin(), qAge_.end(),
-                    [&](std::uint64_t age) { return age >= nextAge_; }))
-        throw SnapshotError("DRAM queue entry is younger than its channel");
-
-    completions_.resize(in.u64());
-    for (Completion &done : completions_) {
-        done.at = in.u64();
-        done.request.paddr = in.u64();
-        done.request.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-        done.request.core = in.u32();
-        done.request.tag = in.u64();
-        done.request.priority = in.b();
-        done.request.integrityId = in.u64();
-        done.request.enqueuedAt = in.u64();
-    }
-
-    for (BankState &bank : banks_) {
-        bank.openRow = in.i64();
-        bank.nextActivate = in.u64();
-        bank.nextColumn = in.u64();
-        bank.nextPrecharge = in.u64();
-    }
-    for (RankState &rank : ranks_) {
-        std::vector<std::uint64_t> window = in.u64Vec();
-        if (window.size() != rank.actWindow.size())
-            throw SnapshotError("DRAM rank tFAW window size mismatch");
-        rank.actWindow.assign(window.begin(), window.end());
-        rank.actPtr = in.u64();
-        if (rank.actPtr >= rank.actWindow.size())
-            throw SnapshotError("DRAM rank tFAW pointer out of range");
-        rank.nextActivate = in.u64();
-        rank.refreshDueAt = in.u64();
-        rank.refreshingUntil = in.u64();
-    }
-    nextColumnSame_ = in.u64();
-    nextColumnSwitch_ = in.u64();
-    lastOpWasWrite_ = in.b();
-    boundAfterTick_ = in.u64();
-    stats_.loadState(in);
+    visitState(*this, in);
     rebuildIndex();
 }
 

@@ -80,6 +80,26 @@ struct DramRequest
     MemRegion region = MemRegion::Activation;
 };
 
+/**
+ * The snapshot record of one DramRequest, shared by every component
+ * that holds requests. The channel's queue and completion heap omit
+ * the region byte (@p with_region false); every other holder writes it.
+ */
+template <class Io, class Request>
+void
+visitRequest(Io &io, Request &request, bool with_region = true)
+{
+    io.u64(request.paddr);
+    io.op(request.op);
+    io.u32(request.core);
+    io.u64(request.tag);
+    io.b(request.priority);
+    io.u64(request.integrityId);
+    io.u64(request.enqueuedAt);
+    if (with_region)
+        io.e8(request.region);
+}
+
 /** Completion callback: the request and the cycle its data finished. */
 using DramCallback = std::function<void(const DramRequest &, Cycle)>;
 
@@ -222,10 +242,12 @@ class DramChannel
      * per-bank index is not written: loadState rebuilds it from the
      * entries' ages, whatever their array order.
      */
-    void saveState(StateWriter &out) const;
+    void saveState(StateWriter &out) const { visitState(*this, out); }
     void loadState(StateReader &in);
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     static constexpr std::uint32_t kPriorityReserve = 4;
     /** Queue depth at/above which boundAfterIssue skips the rescan. */
     static constexpr std::size_t kSharpBoundQueueLimit = 4;

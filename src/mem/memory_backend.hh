@@ -176,8 +176,8 @@ class MemoryBackend
 
     // --- Snapshot/restore: "XBAR", then "TIER" on two tiers, then
     // each tier's sections. ---
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
     /** Stable identity string ("dram", "pcm", "tiered"). */
     const char *kindName() const;
@@ -202,6 +202,8 @@ class MemoryBackend
     }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     /** Region rule: Weight goes to tier 1 when there is one. */
     std::size_t tierIndex(const DramRequest &request) const
     {

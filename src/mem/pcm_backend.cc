@@ -159,59 +159,40 @@ PcmBackend::visitStatGroups(const StatGroupVisitor &visit) const
     DramSystem::visitStatGroups(visit);
 }
 
+template <class Self, class Io>
+void
+PcmBackend::visitState(Self &self, Io &io)
+{
+    io.section("PCMB");
+    io.u64(self.seq_);
+    io.u64(self.pendingWrites_);
+    // The pending heap array verbatim: a restored heap pops in exactly
+    // the order the snapshotted one would have (same rationale as the
+    // channel completion heap).
+    io.seq(self.pending_, [&io](auto &entry) {
+        io.u64(entry.due);
+        io.u64(entry.seq);
+        io.b(entry.writeCommit);
+        visitRequest(io, entry.request);
+    });
+    io.u64Vec(self.cacheTags_);
+    io.check(self.cacheTags_.size() == self.config_.cacheLines,
+             "PCM cache geometry mismatch");
+    io.state(self.cacheStats_);
+}
+
 void
 PcmBackend::saveState(StateWriter &out) const
 {
     DramSystem::saveState(out);
-    out.section("PCMB");
-    out.u64(seq_);
-    out.u64(pendingWrites_);
-    // The pending heap array verbatim: a restored heap pops in exactly
-    // the order the snapshotted one would have (same rationale as the
-    // channel completion heap).
-    out.u64(pending_.size());
-    for (const Pending &entry : pending_) {
-        out.u64(entry.due);
-        out.u64(entry.seq);
-        out.b(entry.writeCommit);
-        out.u64(entry.request.paddr);
-        out.u8(entry.request.op == MemOp::Write ? 1 : 0);
-        out.u32(entry.request.core);
-        out.u64(entry.request.tag);
-        out.b(entry.request.priority);
-        out.u64(entry.request.integrityId);
-        out.u64(entry.request.enqueuedAt);
-        out.u8(static_cast<std::uint8_t>(entry.request.region));
-    }
-    out.u64Vec(cacheTags_);
-    cacheStats_.saveState(out);
+    visitState(*this, out);
 }
 
 void
 PcmBackend::loadState(StateReader &in)
 {
     DramSystem::loadState(in);
-    in.section("PCMB");
-    seq_ = in.u64();
-    pendingWrites_ = in.u64();
-    pending_.resize(in.u64());
-    for (Pending &entry : pending_) {
-        entry.due = in.u64();
-        entry.seq = in.u64();
-        entry.writeCommit = in.b();
-        entry.request.paddr = in.u64();
-        entry.request.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-        entry.request.core = in.u32();
-        entry.request.tag = in.u64();
-        entry.request.priority = in.b();
-        entry.request.integrityId = in.u64();
-        entry.request.enqueuedAt = in.u64();
-        entry.request.region = static_cast<MemRegion>(in.u8());
-    }
-    cacheTags_ = in.u64Vec();
-    if (cacheTags_.size() != config_.cacheLines)
-        throw SnapshotError("PCM cache geometry mismatch");
-    cacheStats_.loadState(in);
+    visitState(*this, in);
 }
 
 } // namespace mnpu

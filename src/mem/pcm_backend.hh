@@ -68,6 +68,8 @@ class PcmBackend : public DramSystem
     void onCompletion(const DramRequest &request, Cycle at) override;
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     /**
      * A delivery scheduled by this layer: a read cache hit waiting out
      * cacheHitLatency, or a media write waiting out its commit.

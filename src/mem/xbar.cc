@@ -124,57 +124,27 @@ XBar::fastTransfer(CoreId core, std::uint64_t num_tx, bool is_write,
     return std::max(done, fastPortFree_[p]);
 }
 
+template <class Self, class Io>
 void
-XBar::saveState(StateWriter &out) const
+XBar::visitState(Self &self, Io &io)
 {
-    out.section("XBAR");
-    out.u64(queues_.size());
-    for (const auto &queue : queues_) {
-        out.u64(queue.size());
-        for (const Entry &entry : queue) {
-            out.u64(entry.readyAt);
-            out.u64(entry.request.paddr);
-            out.u8(entry.request.op == MemOp::Write ? 1 : 0);
-            out.u32(entry.request.core);
-            out.u64(entry.request.tag);
-            out.b(entry.request.priority);
-            out.u64(entry.request.integrityId);
-            out.u64(entry.request.enqueuedAt);
-            out.u8(static_cast<std::uint8_t>(entry.request.region));
-        }
+    io.section("XBAR");
+    io.expect(self.queues_.size(), "XBar port-count mismatch");
+    for (auto &queue : self.queues_) {
+        io.seq(queue, [&io](auto &entry) {
+            io.u64(entry.readyAt);
+            visitRequest(io, entry.request);
+        });
     }
-    out.u64Vec(portFree_);
-    out.u64Vec(fastPortFree_);
-    fabricStats_.saveState(out);
+    io.u64Vec(self.portFree_);
+    io.u64Vec(self.fastPortFree_);
+    io.check(self.portFree_.size() == self.queues_.size() &&
+                 self.fastPortFree_.size() == self.queues_.size(),
+             "XBar port-horizon count mismatch");
+    io.state(self.fabricStats_);
 }
 
-void
-XBar::loadState(StateReader &in)
-{
-    in.section("XBAR");
-    if (in.u64() != queues_.size())
-        throw SnapshotError("XBar port-count mismatch");
-    for (auto &queue : queues_) {
-        queue.resize(in.u64());
-        for (Entry &entry : queue) {
-            entry.readyAt = in.u64();
-            entry.request.paddr = in.u64();
-            entry.request.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-            entry.request.core = in.u32();
-            entry.request.tag = in.u64();
-            entry.request.priority = in.b();
-            entry.request.integrityId = in.u64();
-            entry.request.enqueuedAt = in.u64();
-            entry.request.region = static_cast<MemRegion>(in.u8());
-        }
-    }
-    portFree_ = in.u64Vec();
-    fastPortFree_ = in.u64Vec();
-    if (portFree_.size() != queues_.size() ||
-        fastPortFree_.size() != queues_.size()) {
-        throw SnapshotError("XBar port-horizon count mismatch");
-    }
-    fabricStats_.loadState(in);
-}
+template void XBar::visitState(const XBar &, StateWriter &);
+template void XBar::visitState(XBar &, StateReader &);
 
 } // namespace mnpu

@@ -89,8 +89,8 @@ class XBar
     const StatGroup &stats() const { return fabricStats_; }
 
     /** Port queues, port horizons and stats (section "XBAR"). */
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
     std::uint32_t numPorts() const
     {
@@ -98,6 +98,8 @@ class XBar
     }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     /** One slot reserved per port for walks, like the channel queues. */
     static constexpr std::uint32_t kPriorityReserve = 1;
 

@@ -569,181 +569,91 @@ Mmu::nextEventCycle(Cycle now) const
     return next;
 }
 
+template <class Self, class Io>
 void
-Mmu::saveState(StateWriter &out) const
+Mmu::visitState(Self &self, Io &io)
 {
-    out.section("MMU ");
-    out.u64(tlbs_.size());
-    for (const auto &tlb : tlbs_)
-        tlb->saveState(out);
+    io.section("MMU ");
+    io.expect(self.tlbs_.size(), "MMU TLB count mismatch");
+    for (const auto &tlb : self.tlbs_)
+        io.state(*tlb);
 
-    auto put_xlat = [&out](const PendingXlat &xlat) {
-        out.u32(xlat.asid);
-        out.u64(xlat.vaddr);
-        out.u64(xlat.tag);
-        out.u64(xlat.readyAt);
+    auto xlat = [&io](auto &pending) {
+        io.u32(pending.asid);
+        io.u64(pending.vaddr);
+        io.u64(pending.tag);
+        io.u64(pending.readyAt);
     };
-    out.u64(pending_.size());
-    for (const auto &queue : pending_) {
-        out.u64(queue.size());
-        for (const PendingXlat &xlat : queue)
-            put_xlat(xlat);
-    }
+    io.expect(self.pending_.size(), "MMU pending-queue count mismatch");
+    for (auto &queue : self.pending_)
+        io.seq(queue, xlat);
 
-    // MSHRs sorted by key for deterministic bytes; the per-key attach
+    // MSHRs in key order for deterministic bytes; the per-key attach
     // vectors keep their order (completion fan-out order).
-    std::vector<std::uint64_t> keys;
-    keys.reserve(mshrs_.size());
-    for (const auto &entry : mshrs_)
-        keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    out.u64(keys.size());
-    for (std::uint64_t key : keys) {
-        out.u64(key);
-        const auto &attached = mshrs_.at(key);
-        out.u64(attached.size());
-        for (const PendingXlat &xlat : attached)
-            put_xlat(xlat);
-    }
+    io.sortedMap(self.mshrs_,
+                 [&io, &xlat](auto &attached) { io.seq(attached, xlat); });
 
-    out.u64(walkQueues_.size());
-    for (const auto &queue : walkQueues_) {
-        out.u64(queue.size());
-        for (const WalkRequest &request : queue) {
-            out.u32(request.core);
-            out.u32(request.asid);
-            out.u64(request.vpn);
-            out.u64(request.vaddr);
-            out.u64(request.enqueuedAt);
-        }
+    io.expect(self.walkQueues_.size(), "MMU walk-queue count mismatch");
+    for (auto &queue : self.walkQueues_) {
+        io.seq(queue, [&io](auto &request) {
+            io.u32(request.core);
+            io.u32(request.asid);
+            io.u64(request.vpn);
+            io.u64(request.vaddr);
+            io.u64(request.enqueuedAt);
+        });
     }
-    out.u32(walkRoundRobin_);
-    out.u64(walkers_.size());
-    for (const Walker &walker : walkers_) {
-        out.u8(static_cast<std::uint8_t>(walker.state));
-        out.u32(walker.core);
-        out.u32(walker.asid);
-        out.u64(walker.vpn);
-        out.u64(walker.pathLength);
-        for (std::uint32_t i = 0; i < walker.pathLength; ++i)
-            out.u64(walker.path[i]);
-        out.u32(walker.level);
-        out.u64(walker.startedAt);
-        out.u64(walker.finishedAt);
+    io.u32(self.walkRoundRobin_);
+    io.expect(self.walkers_.size(), "MMU walker count mismatch");
+    for (auto &walker : self.walkers_) {
+        io.e8(walker.state);
+        io.check(walker.state <= WalkerState::Finished,
+                 "bad walker state in snapshot");
+        io.u32(walker.core);
+        io.u32(walker.asid);
+        io.u64(walker.vpn);
+        const std::uint64_t depth = io.count(walker.pathLength);
+        io.check(depth <= walker.path.size(),
+                 "walker path deeper than the radix");
+        for (std::uint64_t i = 0; i < depth; ++i)
+            io.u64(walker.path[i]);
+        io.u32(walker.level);
+        io.check(walker.state == WalkerState::Idle ||
+                     walker.state == WalkerState::Finished ||
+                     walker.level < walker.pathLength,
+                 "walker level cursor out of range");
+        io.u64(walker.startedAt);
+        io.u64(walker.finishedAt);
     }
-    out.u64(inFlightPerCore_.size());
-    for (std::uint32_t count : inFlightPerCore_)
-        out.u32(count);
-    out.u32(totalInFlight_);
-    out.u32(pendingRoundRobin_);
-    out.b(poked_);
-    out.b(pendingDrained_);
-    out.u64Vec(walkSteps_);
-    out.u64Vec(tlbHitsPerCore_);
-    out.u64Vec(tlbMissesPerCore_);
-    out.u64Vec(walksPerCore_);
-    stats_.saveState(out);
+    io.expect(self.inFlightPerCore_.size(), "MMU in-flight count mismatch");
+    for (auto &count : self.inFlightPerCore_)
+        io.u32(count);
+    io.u32(self.totalInFlight_);
+    io.u32(self.pendingRoundRobin_);
+    io.b(self.poked_);
+    io.b(self.pendingDrained_);
+    io.u64Vec(self.walkSteps_);
+    io.check(self.walkSteps_.size() == self.config_.numCores,
+             "MMU walk-step count mismatch");
+    io.u64Vec(self.tlbHitsPerCore_);
+    io.u64Vec(self.tlbMissesPerCore_);
+    io.u64Vec(self.walksPerCore_);
+    io.check(self.tlbHitsPerCore_.size() == self.config_.numCores &&
+                 self.tlbMissesPerCore_.size() == self.config_.numCores &&
+                 self.walksPerCore_.size() == self.config_.numCores,
+             "MMU per-core attribution count mismatch");
+    io.state(self.stats_);
 }
+
+template void Mmu::visitState(const Mmu &, StateWriter &);
 
 void
 Mmu::loadState(StateReader &in)
 {
-    in.section("MMU ");
-    if (in.u64() != tlbs_.size())
-        throw SnapshotError("MMU TLB count mismatch");
-    for (auto &tlb : tlbs_)
-        tlb->loadState(in);
-
-    auto get_xlat = [&in]() {
-        PendingXlat xlat;
-        xlat.asid = in.u32();
-        xlat.vaddr = in.u64();
-        xlat.tag = in.u64();
-        xlat.readyAt = in.u64();
-        return xlat;
-    };
-    if (in.u64() != pending_.size())
-        throw SnapshotError("MMU pending-queue count mismatch");
-    for (auto &queue : pending_) {
-        queue.clear();
-        std::uint64_t n = in.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            queue.push_back(get_xlat());
-    }
-
-    mshrs_.clear();
-    std::uint64_t num_mshrs = in.u64();
-    for (std::uint64_t m = 0; m < num_mshrs; ++m) {
-        std::uint64_t key = in.u64();
-        auto &attached = mshrs_[key];
-        std::uint64_t n = in.u64();
-        attached.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            attached.push_back(get_xlat());
-    }
-
-    if (in.u64() != walkQueues_.size())
-        throw SnapshotError("MMU walk-queue count mismatch");
-    for (auto &queue : walkQueues_) {
-        queue.clear();
-        std::uint64_t n = in.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            WalkRequest request;
-            request.core = in.u32();
-            request.asid = in.u32();
-            request.vpn = in.u64();
-            request.vaddr = in.u64();
-            request.enqueuedAt = in.u64();
-            queue.push_back(request);
-        }
-    }
-    walkRoundRobin_ = in.u32();
-    if (in.u64() != walkers_.size())
-        throw SnapshotError("MMU walker count mismatch");
+    visitState(*this, in);
     walkersIn_.fill(0);
-    for (Walker &walker : walkers_) {
-        std::uint8_t state = in.u8();
-        if (state > static_cast<std::uint8_t>(WalkerState::Finished))
-            throw SnapshotError("bad walker state in snapshot");
-        walker.state = static_cast<WalkerState>(state);
-        ++walkersIn_[state];
-        walker.core = in.u32();
-        walker.asid = in.u32();
-        walker.vpn = in.u64();
-        const std::vector<Addr> path = in.u64Vec();
-        if (path.size() > walker.path.size())
-            throw SnapshotError("walker path deeper than the radix");
-        std::copy(path.begin(), path.end(), walker.path.begin());
-        walker.pathLength = static_cast<std::uint32_t>(path.size());
-        walker.level = in.u32();
-        if (walker.state != WalkerState::Idle &&
-            walker.level >= walker.pathLength &&
-            walker.state != WalkerState::Finished) {
-            throw SnapshotError("walker level cursor out of range");
-        }
-        walker.startedAt = in.u64();
-        walker.finishedAt = in.u64();
-    }
-    if (in.u64() != inFlightPerCore_.size())
-        throw SnapshotError("MMU in-flight count mismatch");
-    for (std::uint32_t &count : inFlightPerCore_)
-        count = in.u32();
-    totalInFlight_ = in.u32();
-    pendingRoundRobin_ = in.u32();
-    poked_ = in.b();
-    pendingDrained_ = in.b();
-    walkSteps_ = in.u64Vec();
-    if (walkSteps_.size() != config_.numCores)
-        throw SnapshotError("MMU walk-step count mismatch");
-    tlbHitsPerCore_ = in.u64Vec();
-    tlbMissesPerCore_ = in.u64Vec();
-    walksPerCore_ = in.u64Vec();
-    if (tlbHitsPerCore_.size() != config_.numCores ||
-        tlbMissesPerCore_.size() != config_.numCores ||
-        walksPerCore_.size() != config_.numCores) {
-        throw SnapshotError("MMU per-core attribution count mismatch");
-    }
-    stats_.loadState(in);
+    for (const Walker &walker : walkers_)
+        ++walkersIn_[static_cast<std::size_t>(walker.state)];
 }
 
 } // namespace mnpu

@@ -293,10 +293,12 @@ class Mmu
      * Request logs are not serialized — a restored run logs only
      * post-restore activity (documented limitation).
      */
-    void saveState(StateWriter &out) const;
+    void saveState(StateWriter &out) const { visitState(*this, out); }
     void loadState(StateReader &in);
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     struct PendingXlat
     {
         Asid asid;

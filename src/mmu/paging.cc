@@ -181,6 +181,7 @@ PageTableModel::walkPath(Asid asid, Addr vaddr)
     return std::vector<Addr>(path.begin(), path.begin() + depth);
 }
 
+// Not one visitState walk: save enumerates blocks, load re-inserts pages.
 void
 PageAllocator::saveState(StateWriter &out) const
 {
@@ -222,11 +223,10 @@ void
 PageAllocator::loadState(StateReader &in)
 {
     in.section("PALC");
-    if (in.u64() != pageBytes_)
-        throw SnapshotError("page allocator page-size mismatch");
+    in.expect(pageBytes_, "page allocator page-size mismatch");
     nextFrame_ = in.u64();
-    if (nextFrame_ > totalFrames_)
-        throw SnapshotError("page allocator frame count out of range");
+    in.check(nextFrame_ <= totalFrames_,
+             "page allocator frame count out of range");
     std::uint64_t n = in.u64();
     spaces_.clear();
     lastSpace_ = nullptr;
@@ -238,6 +238,7 @@ PageAllocator::loadState(StateReader &in)
     }
 }
 
+// Not one visitState walk: save enumerates nodes, load re-inserts them.
 void
 PageTableModel::saveState(StateWriter &out) const
 {
@@ -270,8 +271,7 @@ void
 PageTableModel::loadState(StateReader &in)
 {
     in.section("PTBL");
-    if (in.u32() != levels_)
-        throw SnapshotError("page table radix depth mismatch");
+    in.expect(levels_, "page table radix depth mismatch");
     const std::uint64_t n = in.u64();
     nodes_.clear();
     lastNodes_ = nullptr;
@@ -281,8 +281,7 @@ PageTableModel::loadState(StateReader &in)
         const std::uint32_t level = in.u32();
         const Addr prefix = in.u64();
         const Addr frame = in.u64();
-        if (level >= levels_)
-            throw SnapshotError("page table node level out of range");
+        in.check(level < levels_, "page table node level out of range");
         nodeSlot(nodesFor(asid).levels[level], prefix) = frame;
         ++nodeCount_;
     }

@@ -110,36 +110,24 @@ Tlb::hitRate() const
                             static_cast<double>(total);
 }
 
+template <class Self, class Io>
 void
-Tlb::saveState(StateWriter &out) const
+Tlb::visitState(Self &self, Io &io)
 {
-    out.section("TLB ");
-    out.u32(entries_);
-    out.u32(ways_);
-    out.u64(useClock_);
-    for (const Entry &entry : table_) {
-        out.b(entry.valid);
-        out.u32(entry.asid);
-        out.u64(entry.vpn);
-        out.u64(entry.lastUse);
+    io.section("TLB ");
+    io.expect(self.entries_, "TLB geometry mismatch");
+    io.expect(self.ways_, "TLB geometry mismatch");
+    io.u64(self.useClock_);
+    for (auto &entry : self.table_) {
+        io.b(entry.valid);
+        io.u32(entry.asid);
+        io.u64(entry.vpn);
+        io.u64(entry.lastUse);
     }
-    stats_.saveState(out);
+    io.state(self.stats_);
 }
 
-void
-Tlb::loadState(StateReader &in)
-{
-    in.section("TLB ");
-    if (in.u32() != entries_ || in.u32() != ways_)
-        throw SnapshotError("TLB geometry mismatch");
-    useClock_ = in.u64();
-    for (Entry &entry : table_) {
-        entry.valid = in.b();
-        entry.asid = in.u32();
-        entry.vpn = in.u64();
-        entry.lastUse = in.u64();
-    }
-    stats_.loadState(in);
-}
+template void Tlb::visitState(const Tlb &, StateWriter &);
+template void Tlb::visitState(Tlb &, StateReader &);
 
 } // namespace mnpu

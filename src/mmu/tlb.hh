@@ -63,10 +63,12 @@ class Tlb
     const StatGroup &stats() const { return stats_; }
 
     /** Snapshot the full table, LRU clock, and stats (DESIGN §12). */
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io> static void visitState(Self &self, Io &io);
+
     struct Entry
     {
         bool valid = false;

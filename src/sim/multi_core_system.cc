@@ -782,6 +782,35 @@ MultiCoreSystem::configFingerprint() const
     return hash;
 }
 
+template <class Self, class Io, class Sampler>
+void
+MultiCoreSystem::visitState(Self &self, Io &io, Cycle &now,
+                            std::uint64_t &iteration,
+                            std::uint64_t &service_round, Sampler &sampler)
+{
+    io.section("RUNL");
+    io.u64(now);
+    io.u64(iteration);
+    io.u64(service_round);
+    io.state(sampler);
+    io.expect(self.injector_ != nullptr,
+              "fault-injector enablement mismatch");
+    if (self.injector_)
+        io.state(*self.injector_);
+    io.expect(self.tracker_ != nullptr,
+              "lifecycle-tracker enablement mismatch");
+    if (self.tracker_)
+        io.state(*self.tracker_);
+    io.state(*self.allocator_);
+    io.state(*self.pageTable_);
+    io.state(*self.mmu_);
+    io.state(*self.mem_);
+    io.expect(self.cores_.size(), "core count mismatch");
+    for (const auto &core : self.cores_)
+        io.state(*core);
+    io.section("DONE");
+}
+
 void
 MultiCoreSystem::saveState(StateWriter &out, Cycle now,
                            std::uint64_t iteration,
@@ -789,25 +818,7 @@ MultiCoreSystem::saveState(StateWriter &out, Cycle now,
                            const WatchdogSampler &sampler) const
 {
     out.u64(configFingerprint());
-    out.section("RUNL");
-    out.u64(now);
-    out.u64(iteration);
-    out.u64(service_round);
-    sampler.saveState(out);
-    out.b(injector_ != nullptr);
-    if (injector_)
-        injector_->saveState(out);
-    out.b(tracker_ != nullptr);
-    if (tracker_)
-        tracker_->saveState(out);
-    allocator_->saveState(out);
-    pageTable_->saveState(out);
-    mmu_->saveState(out);
-    mem_->saveState(out);
-    out.u64(cores_.size());
-    for (const auto &core : cores_)
-        core->saveState(out);
-    out.section("DONE");
+    visitState(*this, out, now, iteration, service_round, sampler);
 }
 
 bool
@@ -825,28 +836,8 @@ MultiCoreSystem::tryRestoreSnapshot(const std::string &path)
                  "ignoring it and starting from scratch");
             return false;
         }
-        in.section("RUNL");
-        resumeNow_ = in.u64();
-        resumeIteration_ = in.u64();
-        resumeServiceRound_ = in.u64();
-        resumeSampler_.loadState(in);
-        if (in.b() != (injector_ != nullptr))
-            throw SnapshotError("fault-injector enablement mismatch");
-        if (injector_)
-            injector_->loadState(in);
-        if (in.b() != (tracker_ != nullptr))
-            throw SnapshotError("lifecycle-tracker enablement mismatch");
-        if (tracker_)
-            tracker_->loadState(in);
-        allocator_->loadState(in);
-        pageTable_->loadState(in);
-        mmu_->loadState(in);
-        mem_->loadState(in);
-        if (in.u64() != cores_.size())
-            throw SnapshotError("core count mismatch");
-        for (auto &core : cores_)
-            core->loadState(in);
-        in.section("DONE");
+        visitState(*this, in, resumeNow_, resumeIteration_,
+                   resumeServiceRound_, resumeSampler_);
         if (!in.atEnd())
             throw SnapshotError("trailing bytes after the final section");
     } catch (const SnapshotError &error) {

@@ -173,6 +173,11 @@ class MultiCoreSystem
     void saveState(StateWriter &out, Cycle now, std::uint64_t iteration,
                    std::uint64_t service_round,
                    const WatchdogSampler &sampler) const;
+    /** The "RUNL" run point, every component, then "DONE". */
+    template <class Self, class Io, class Sampler>
+    static void visitState(Self &self, Io &io, Cycle &now,
+                           std::uint64_t &iteration,
+                           std::uint64_t &service_round, Sampler &sampler);
 
     SystemConfig config_;
     std::vector<CoreBinding> bindings_;

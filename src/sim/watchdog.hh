@@ -56,22 +56,19 @@ struct WatchdogSampler
      * itself never changes simulated state, but keeping the phase
      * identical removes one gratuitous divergence source).
      */
-    void
-    saveState(StateWriter &out) const
-    {
-        out.u64(lastIteration_);
-        out.u64(lastCycle_);
-        out.b(primed_);
-    }
-    void
-    loadState(StateReader &in)
-    {
-        lastIteration_ = in.u64();
-        lastCycle_ = in.u64();
-        primed_ = in.b();
-    }
+    void saveState(StateWriter &out) const { visitState(*this, out); }
+    void loadState(StateReader &in) { visitState(*this, in); }
 
   private:
+    template <class Self, class Io>
+    static void
+    visitState(Self &self, Io &io)
+    {
+        io.u64(self.lastIteration_);
+        io.u64(self.lastCycle_);
+        io.b(self.primed_);
+    }
+
     std::uint64_t lastIteration_ = 0;
     Cycle lastCycle_ = 0;
     bool primed_ = false;
