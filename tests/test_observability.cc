@@ -308,6 +308,46 @@ TEST(TraceExport, RequestLevelAddsDramAndMmuTracks)
     EXPECT_TRUE(dram_cmd);
 }
 
+TEST(TraceExport, TieredStackDrawsCommandsOnEveryChannelTrack)
+{
+    // Two tiers behind the fabric: the trace names one command track
+    // per channel summed over both tiers, and the second tier's
+    // channels must land on the tracks after the first tier's, not on
+    // top of them.
+    NpuMemConfig mem = NpuMemConfig::cloudNpu();
+    mem.backend = MemBackendKind::Tiered;
+    mem.fabric.enabled = true;
+    ExperimentContext context(ArchConfig::miniNpu(), mem, ModelScale::Mini);
+    SystemConfig config;
+    config.level = SharingLevel::ShareDWT;
+    config.mem = context.mem();
+    config.obs.traceOutPath = tempPath("mnpu_obs_trace_tiered.json");
+    config.obs.traceLevel = TraceLevel::Requests;
+    context.runMix(config, {"ncf", "ncf"});
+
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readWholeFile(config.obs.traceOutPath), doc));
+    std::filesystem::remove(config.obs.traceOutPath);
+    const json::Value *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::map<int, std::uint64_t> commands; // named channel tid -> count
+    for (const json::Value &event : events->items()) {
+        const int tid = static_cast<int>(num(event, "tid"));
+        if (static_cast<int>(num(event, "pid")) !=
+                static_cast<int>(TraceEventSink::kDramPid) ||
+            tid < static_cast<int>(TraceEventSink::kChannelTidBase))
+            continue;
+        if (str(event, "name") == "thread_name")
+            commands.emplace(tid, 0);
+        else if (str(event, "ph") == "i" && str(event, "cat") == "cmd")
+            ++commands[tid];
+    }
+    ASSERT_EQ(commands.size(), 16u) << "2 cores x 4 channels x 2 tiers";
+    for (const auto &[tid, count] : commands)
+        EXPECT_GT(count, 0u) << "no commands on track ch"
+                             << tid - TraceEventSink::kChannelTidBase;
+}
+
 TEST(TraceExport, LayersLevelSuppressesTilesAndRequests)
 {
     ObservabilityConfig obs;
