@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/experiment.hh"
 #include "analysis/sweep_runner.hh"
@@ -168,10 +169,11 @@ goldenFixturePath(const std::string &dir, const std::string &name)
 namespace
 {
 
+/** Report the first difference of one field; false when equal. */
 template <typename T>
 bool
-reportScalar(std::ostringstream &out, const char *field, const T &expected,
-             const T &actual)
+report(std::ostringstream &out, const std::string &field, const T &expected,
+       const T &actual)
 {
     if (expected == actual)
         return false;
@@ -179,26 +181,23 @@ reportScalar(std::ostringstream &out, const char *field, const T &expected,
     return true;
 }
 
+/** Vectors report their length, else their first differing element. */
 template <typename T>
 bool
-reportVector(std::ostringstream &out, const char *field,
-             const std::vector<T> &expected, const std::vector<T> &actual)
+report(std::ostringstream &out, const std::string &field,
+       const std::vector<T> &expected, const std::vector<T> &actual)
 {
-    if (expected == actual)
-        return false;
     if (expected.size() != actual.size()) {
         out << field << ": expected " << expected.size()
             << " entries, got " << actual.size();
         return true;
     }
     for (std::size_t i = 0; i < expected.size(); ++i) {
-        if (!(expected[i] == actual[i])) {
-            out << field << "[" << i << "]: expected " << expected[i]
-                << ", got " << actual[i];
+        if (report(out, field + "[" + std::to_string(i) + "]", expected[i],
+                   actual[i]))
             return true;
-        }
     }
-    return true;
+    return false;
 }
 
 } // namespace
@@ -209,77 +208,28 @@ describeGoldenDiff(const SweepCheckpointRecord &expected,
 {
     std::ostringstream out;
     out.precision(17);
-    if (reportScalar(out, "key", expected.key, actual.key))
-        return out.str();
-    if (reportScalar(out, "version", expected.version, actual.version))
-        return out.str();
-    if (reportScalar(out, "status", std::string(toString(expected.status)),
-                     std::string(toString(actual.status))))
-        return out.str();
-    if (reportVector(out, "models", expected.models, actual.models))
-        return out.str();
-    if (reportScalar(out, "global_cycles", expected.globalCycles,
-                     actual.globalCycles))
-        return out.str();
-    if (reportVector(out, "local_cycles", expected.localCycles,
-                     actual.localCycles))
-        return out.str();
-    if (reportVector(out, "finished_at_global", expected.finishedAtGlobal,
-                     actual.finishedAtGlobal))
-        return out.str();
-    if (reportVector(out, "pe_utilization", expected.peUtilization,
-                     actual.peUtilization))
-        return out.str();
-    if (reportVector(out, "traffic_bytes", expected.trafficBytes,
-                     actual.trafficBytes))
-        return out.str();
-    if (reportVector(out, "walk_bytes", expected.walkBytes,
-                     actual.walkBytes))
-        return out.str();
-    if (reportVector(out, "tlb_hits", expected.tlbHits, actual.tlbHits))
-        return out.str();
-    if (reportVector(out, "tlb_misses", expected.tlbMisses,
-                     actual.tlbMisses))
-        return out.str();
-    if (reportVector(out, "walks", expected.walks, actual.walks))
-        return out.str();
-    if (reportVector(out, "speedups", expected.speedups, actual.speedups))
-        return out.str();
-    if (reportVector(out, "slowdowns", expected.slowdowns,
-                     actual.slowdowns))
-        return out.str();
-    if (reportScalar(out, "geomean_speedup", expected.geomeanSpeedup,
-                     actual.geomeanSpeedup))
-        return out.str();
-    if (reportScalar(out, "fairness", expected.fairnessValue,
-                     actual.fairnessValue))
-        return out.str();
-    if (reportScalar(out, "dram_energy_pj", expected.dramEnergyPj,
-                     actual.dramEnergyPj))
-        return out.str();
-    if (reportScalar(out, "dram_row_hits", expected.dramRowHits,
-                     actual.dramRowHits))
-        return out.str();
-    if (reportScalar(out, "dram_row_misses", expected.dramRowMisses,
-                     actual.dramRowMisses))
-        return out.str();
-    if (expected.layerFinishLocal != actual.layerFinishLocal) {
-        out << "layer_finish_local differs";
-        return out.str();
-    }
-    if (expected.serving.has_value() != actual.serving.has_value()) {
+    bool differs =
+        report(out, "key", expected.key, actual.key) ||
+        report(out, "version", expected.version, actual.version) ||
+        report(out, "status", std::string(toString(expected.status)),
+               std::string(toString(actual.status)));
+    // Then every serialized field but the wall-clock time, which
+    // fixtures pin and resumed runs legitimately change.
+    auto field = [&](const char *name, const auto &want, const auto &got) {
+        if (!differs && std::string_view(name) != "wall_seconds")
+            differs = report(out, name, want, got);
+    };
+    forEachField(field, expected, actual);
+    if (!differs &&
+        expected.serving.has_value() != actual.serving.has_value()) {
         out << "serving: expected "
             << (expected.serving ? "engaged" : "absent") << ", got "
             << (actual.serving ? "engaged" : "absent");
-        return out.str();
+        differs = true;
     }
-    if (expected.serving && !(*expected.serving == *actual.serving)) {
-        out << "serving_* summary differs (makespan expected "
-            << expected.serving->makespanCycles << ", got "
-            << actual.serving->makespanCycles << ")";
-        return out.str();
-    }
-    return std::string{};
+    if (!differs && expected.serving)
+        forEachServingField(field, *expected.serving, *actual.serving);
+    return out.str();
 }
 
 namespace

@@ -52,61 +52,6 @@ statusFromString(const std::string &text, SweepStatus &status)
     return false;
 }
 
-/**
- * Every record field after "key", "v" and "status", in the order
- * toJsonLine() writes them. parseJsonLine() reads through the same
- * list, so the writer and the reader cannot drift apart.
- */
-template <typename Record, typename Visit>
-void
-forEachField(Record &record, Visit &&visit)
-{
-    visit("error", record.error);
-    visit("wall_seconds", record.wallSeconds);
-    visit("models", record.models);
-    visit("speedups", record.speedups);
-    visit("slowdowns", record.slowdowns);
-    visit("geomean_speedup", record.geomeanSpeedup);
-    visit("fairness", record.fairnessValue);
-    visit("local_cycles", record.localCycles);
-    visit("finished_at_global", record.finishedAtGlobal);
-    visit("pe_utilization", record.peUtilization);
-    visit("traffic_bytes", record.trafficBytes);
-    visit("walk_bytes", record.walkBytes);
-    visit("tlb_hits", record.tlbHits);
-    visit("tlb_misses", record.tlbMisses);
-    visit("walks", record.walks);
-    visit("layer_finish_local", record.layerFinishLocal);
-    visit("global_cycles", record.globalCycles);
-    visit("dram_energy_pj", record.dramEnergyPj);
-    visit("dram_row_hits", record.dramRowHits);
-    visit("dram_row_misses", record.dramRowMisses);
-}
-
-/** The serving summary's flat serving_* fields, in write order. */
-template <typename Summary, typename Visit>
-void
-forEachServingField(Summary &s, Visit &&visit)
-{
-    visit("serving_offered", s.offered);
-    visit("serving_completed", s.completed);
-    visit("serving_slo_good", s.sloGood);
-    visit("serving_rounds", s.rounds);
-    visit("serving_prefill_tokens", s.prefillTokens);
-    visit("serving_decode_tokens", s.decodeTokens);
-    visit("serving_kv_read_bytes", s.kvReadBytes);
-    visit("serving_makespan_cycles", s.makespanCycles);
-    visit("serving_ttft_p50", s.ttftP50);
-    visit("serving_ttft_p99", s.ttftP99);
-    visit("serving_ttft_mean", s.ttftMean);
-    visit("serving_tpot_p50", s.tpotP50);
-    visit("serving_tpot_p99", s.tpotP99);
-    visit("serving_latency_p50", s.latencyP50);
-    visit("serving_latency_p99", s.latencyP99);
-    visit("serving_offered_per_mcycle", s.offeredPerMcycle);
-    visit("serving_goodput_per_mcycle", s.goodputPerMcycle);
-}
-
 } // namespace
 
 std::string
@@ -121,11 +66,11 @@ toJsonLine(const SweepCheckpointRecord &record)
     json::appendString(out, record.key);
     field("v", record.version);
     field("status", toString(record.status));
-    forEachField(record, field);
+    forEachField(field, record);
     // Serving keys only for serving records, so batch lines (and the
     // committed batch goldens) stay byte-identical.
     if (record.serving)
-        forEachServingField(*record.serving, field);
+        forEachServingField(field, *record.serving);
     out += "}";
     return out;
 }
@@ -150,13 +95,13 @@ parseJsonLine(const std::string &line, SweepCheckpointRecord &record)
     std::string status = toString(SweepStatus::Ok);
     field("v", version);
     field("status", status);
-    forEachField(parsed, field);
+    forEachField(field, parsed);
     // Any serving_* key marks a serving record, even one this reader
     // does not know.
     if (std::ranges::any_of(object.keys(), [](const std::string &name) {
             return name.starts_with("serving_");
         }))
-        forEachServingField(parsed.serving.emplace(), field);
+        forEachServingField(field, parsed.serving.emplace());
     if (!ok || version > UINT32_MAX ||
         !statusFromString(status, parsed.status))
         return false;

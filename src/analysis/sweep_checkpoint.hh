@@ -109,6 +109,63 @@ struct SweepCheckpointRecord
     std::optional<ServingSummary> serving;
 };
 
+/**
+ * Every record field after "key", "v" and "status", in the order
+ * toJsonLine() writes them. parseJsonLine() reads through the same
+ * list and describeGoldenDiff() compares through it, so none of them
+ * can drift from the others. @p visit gets the name and the field of
+ * each of @p records.
+ */
+template <typename Visit, typename... Record>
+void
+forEachField(Visit &&visit, Record &...records)
+{
+    visit("error", records.error...);
+    visit("wall_seconds", records.wallSeconds...);
+    visit("models", records.models...);
+    visit("speedups", records.speedups...);
+    visit("slowdowns", records.slowdowns...);
+    visit("geomean_speedup", records.geomeanSpeedup...);
+    visit("fairness", records.fairnessValue...);
+    visit("local_cycles", records.localCycles...);
+    visit("finished_at_global", records.finishedAtGlobal...);
+    visit("pe_utilization", records.peUtilization...);
+    visit("traffic_bytes", records.trafficBytes...);
+    visit("walk_bytes", records.walkBytes...);
+    visit("tlb_hits", records.tlbHits...);
+    visit("tlb_misses", records.tlbMisses...);
+    visit("walks", records.walks...);
+    visit("layer_finish_local", records.layerFinishLocal...);
+    visit("global_cycles", records.globalCycles...);
+    visit("dram_energy_pj", records.dramEnergyPj...);
+    visit("dram_row_hits", records.dramRowHits...);
+    visit("dram_row_misses", records.dramRowMisses...);
+}
+
+/** The serving summary's flat serving_* fields, in write order. */
+template <typename Visit, typename... Summary>
+void
+forEachServingField(Visit &&visit, Summary &...s)
+{
+    visit("serving_offered", s.offered...);
+    visit("serving_completed", s.completed...);
+    visit("serving_slo_good", s.sloGood...);
+    visit("serving_rounds", s.rounds...);
+    visit("serving_prefill_tokens", s.prefillTokens...);
+    visit("serving_decode_tokens", s.decodeTokens...);
+    visit("serving_kv_read_bytes", s.kvReadBytes...);
+    visit("serving_makespan_cycles", s.makespanCycles...);
+    visit("serving_ttft_p50", s.ttftP50...);
+    visit("serving_ttft_p99", s.ttftP99...);
+    visit("serving_ttft_mean", s.ttftMean...);
+    visit("serving_tpot_p50", s.tpotP50...);
+    visit("serving_tpot_p99", s.tpotP99...);
+    visit("serving_latency_p50", s.latencyP50...);
+    visit("serving_latency_p99", s.latencyP99...);
+    visit("serving_offered_per_mcycle", s.offeredPerMcycle...);
+    visit("serving_goodput_per_mcycle", s.goodputPerMcycle...);
+}
+
 /** Serialize one record as a single JSON line (no trailing newline). */
 std::string toJsonLine(const SweepCheckpointRecord &record);
 
